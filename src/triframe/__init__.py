@@ -17,6 +17,7 @@ from .basis import (
     basis_matrix,
     degree_cutoff,
     eigenvalue,
+    expansion_values,
     jacobi_eval,
     laplace_beltrami_apply,
     linear_index,

@@ -166,12 +166,8 @@ def basis_eval(idx, x) -> float:
     return norm * radial * omx**m * angular
 
 
-def basis_matrix(points, cutoff: int, validate: bool = True) -> np.ndarray:
-    """Table of all basis values with degree <= cutoff at many points.
-
-    Returns shape (npoints, tri_dim(cutoff)), columns in degree-major (ell, m)
-    order.  Cost is O(npoints * tri_dim(cutoff)) recurrence work.
-    """
+def _checked_points(points, validate: bool) -> np.ndarray:
+    """Points as a float (n, 2) array, optionally checked against the simplex."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError("points must have shape (n, 2)")
@@ -183,16 +179,17 @@ def basis_matrix(points, cutoff: int, validate: bool = True) -> np.ndarray:
         )
         if bad.any():
             raise DomainError(f"{int(bad.sum())} point(s) outside the simplex")
-    if cutoff < 0:
-        return np.empty((pts.shape[0], 0))
+    return pts
+
+
+def _angular_factors(pts: np.ndarray, cutoff: int):
+    """Yield (m, P_m(ratio) * (1-x1)^m) for m = 0..cutoff: the angular
+    factor shared by every order-m basis member."""
     x1 = pts[:, 0]
-    t = 2.0 * x1 - 1.0
     omx = 1.0 - x1
     degenerate = omx < _CORNER_EPS
     ratio = 2.0 * pts[:, 1] / np.where(degenerate, 1.0, omx) - 1.0
-
     n = pts.shape[0]
-    out = np.empty((n, tri_dim(cutoff)))
     leg0 = np.zeros(n)
     leg1 = np.ones(n)  # Legendre P_m(ratio), m running
     weight = np.ones(n)  # (1-x1)^m, exactly zero at the corner for m >= 1
@@ -203,19 +200,68 @@ def basis_matrix(points, cutoff: int, validate: bool = True) -> np.ndarray:
         elif m > 1:
             leg1, leg0 = _jacobi_next(m, 0.0, 0.0, ratio, leg1, leg0), leg1
             weight = np.where(degenerate, 0.0, weight * omx)
-        base = leg1 * weight
-        tau = 2.0 * m + 1.0
-        jac0 = np.zeros(n)
-        jac1 = np.ones(n)  # Jacobi P^(2m+1,0)_d(t), d running
-        for d in range(cutoff - m + 1):
-            if d == 1:
-                jac1, jac0 = 0.5 * ((tau + 2.0) * t + tau), jac1
-            elif d > 1:
-                jac1, jac0 = _jacobi_next(d, tau, 0.0, t, jac1, jac0), jac1
-            ell = d + m
-            out[:, linear_index(ell, m)] = (
-                math.sqrt((ell + 1) * (2 * m + 1)) * jac1 * base
-            )
+        yield m, leg1 * weight
+
+
+def _radial_factors(t: np.ndarray, m: int, cutoff: int):
+    """Yield (linear index, sqrt((ell+1)(2m+1)) * P^(2m+1,0)_(ell-m)(t)) for
+    ell = m..cutoff: the normalized radial factor of each order-m member."""
+    tau = 2.0 * m + 1.0
+    jac0 = np.zeros_like(t)
+    jac1 = np.ones_like(t)  # Jacobi P^(2m+1,0)_d(t), d running
+    for d in range(cutoff - m + 1):
+        if d == 1:
+            jac1, jac0 = 0.5 * ((tau + 2.0) * t + tau), jac1
+        elif d > 1:
+            jac1, jac0 = _jacobi_next(d, tau, 0.0, t, jac1, jac0), jac1
+        ell = d + m
+        yield linear_index(ell, m), math.sqrt((ell + 1) * (2 * m + 1)) * jac1
+
+
+def basis_matrix(points, cutoff: int, validate: bool = True) -> np.ndarray:
+    """Table of all basis values with degree <= cutoff at many points.
+
+    Returns shape (npoints, tri_dim(cutoff)), columns in degree-major (ell, m)
+    order.  The table is stored as a C-contiguous (tri_dim(cutoff), npoints)
+    array and returned as its transposed view, so each basis member is one
+    contiguous row and a column prefix is a contiguous block.  Cost is
+    O(npoints * tri_dim(cutoff)) recurrence work.
+    """
+    pts = _checked_points(points, validate)
+    if cutoff < 0:
+        return np.empty((pts.shape[0], 0))
+    t = 2.0 * pts[:, 0] - 1.0
+    out = np.empty((tri_dim(cutoff), pts.shape[0]))
+    for m, base in _angular_factors(pts, cutoff):
+        for row, radial in _radial_factors(t, m, cutoff):
+            np.multiply(radial, base, out=out[row])
+    return out.T
+
+
+def expansion_values(points, coeffs, cutoff: int) -> np.ndarray:
+    """Values at many points of sum_i coeffs[i] * (basis member i), without a table.
+
+    Equals basis_matrix(points, cutoff) @ coeffs up to rounding.  The radial
+    sums over the degree run once per distinct x1 and are then combined with
+    the angular factors: O(u * tri_dim(cutoff) + npoints * cutoff) time for u
+    distinct x1 values, and O(npoints) memory.  Real or complex coefficients.
+    """
+    pts = _checked_points(points, validate=True)
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape != (tri_dim(cutoff),):
+        raise ValueError(
+            f"expected {tri_dim(cutoff)} coefficients for cutoff {cutoff}, "
+            f"got {coeffs.shape}"
+        )
+    dtype = np.result_type(coeffs.dtype, float)
+    out = np.zeros(pts.shape[0], dtype=dtype)
+    x1, inverse = np.unique(pts[:, 0], return_inverse=True)
+    t = 2.0 * x1 - 1.0
+    for m, base in _angular_factors(pts, cutoff):
+        radial_sum = np.zeros(x1.shape, dtype=dtype)
+        for row, radial in _radial_factors(t, m, cutoff):
+            radial_sum += coeffs[row] * radial
+        out += radial_sum[inverse] * base
     return out
 
 

@@ -156,9 +156,14 @@ def _write_csv(path: Path, header: list, rows) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _reject_constant(token: str):
+    raise ValidationError(f"non-finite number {token} in input")
+
+
 def _load_json(path: str) -> dict:
+    """Parse a JSON document, refusing the NaN and Infinity extensions."""
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, parse_constant=_reject_constant)
 
 
 def _load_bank(name: str) -> filters.FilterBank:

@@ -94,7 +94,8 @@ class QuadratureRule:
     def weighted_basis(self, cutoff: int) -> np.ndarray:
         """sqrt(weight)-scaled basis table, shape (N, tri_dim(cutoff)); cached.
 
-        This is the synthesis matrix: values = weighted_basis(c) @ coeffs.
+        This is the synthesis matrix: values = weighted_basis(c) @ coeffs.  A
+        smaller cutoff is served as a column-prefix view of a cached table.
         """
         if cutoff < 0:
             return np.empty((self.size, 0))
@@ -257,7 +258,8 @@ def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
     table = rule.weighted_basis(cutoff)
-    return GramMatrix(cutoff, table.T @ np.conj(table))
+    # the basis is real: table.T @ table lets BLAS take the symmetric (SYRK) path
+    return GramMatrix(cutoff, table.T @ table)
 
 
 def generalized_tightness_residual(

@@ -19,6 +19,7 @@ from .basis import (
     SpectralVector,
     basis_matrix,
     degree_cutoff,
+    expansion_values,
     lambda_vector,
     max_degree_within,
     tri_dim,
@@ -49,7 +50,10 @@ def _synthesize(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     if _bit_reproducible:
         return (matrix * coeffs[None, :]).sum(axis=1)
     if np.iscomplexobj(coeffs):
-        return matrix @ coeffs.real + 1j * (matrix @ coeffs.imag)
+        # both parts in one pass over the table: a two-row product with the
+        # contiguous (dim, N) array behind the (N, dim) view
+        re, im = np.stack((coeffs.real, coeffs.imag)) @ matrix.T
+        return re + 1j * im
     return matrix @ coeffs
 
 
@@ -394,7 +398,7 @@ def _framelet_coefficients(
         raise IndexError(f"node index {k} out of range for {rule.size} nodes")
     cut = max_degree_within(2.0**j * symbol.support[1])
     gains = symbol(lambda_vector(cut) / 2.0**j)
-    row = rule.weighted_basis(cut)[k]
+    row = basis_matrix(rule.nodes[k : k + 1], cut)[0] * np.sqrt(rule.weights[k])
     return SpectralVector(cut, gains * np.conj(row))
 
 
@@ -406,30 +410,17 @@ def framelet_eval(
     kind "low" uses the level-j rule; kind "high" (channel n) uses the
     level-(j+1) rule.  Real-valued for the shipped bank.
     """
-    coeffs = _framelet_coefficients(sys, kind, j, k, n)
-    row = basis_matrix(np.asarray(x, dtype=float).reshape(1, 2), coeffs.cutoff)[0]
-    return float(np.real(row @ coeffs.coeffs))
+    return float(framelet_values(sys, kind, j, k, np.reshape(x, (1, 2)), n=n)[0])
 
 
 def framelet_values(
-    sys: FrameletSystem,
-    kind: str,
-    j: int,
-    k: int,
-    points,
-    n: int = 1,
-    chunk: int = 4096,
+    sys: FrameletSystem, kind: str, j: int, k: int, points, n: int = 1
 ) -> np.ndarray:
-    """framelet_eval over many points, evaluated in chunks."""
+    """framelet_eval over many points, summed without a basis table."""
     coeffs = _framelet_coefficients(sys, kind, j, k, n)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
-        out[start : start + chunk] = np.real(
-            basis_matrix(block, coeffs.cutoff) @ coeffs.coeffs
-        )
-    return out
+    # the basis is real, so the real part of the sum needs only the real
+    # parts of the coefficients
+    return expansion_values(points, coeffs.coeffs.real, coeffs.cutoff)
 
 
 def triangle_grid(resolution: int) -> np.ndarray:
@@ -468,9 +459,14 @@ def _complex_pairs(arr: np.ndarray) -> list:
 
 
 def _pairs_to_array(pairs) -> np.ndarray:
-    data = np.asarray(pairs, dtype=float)
+    try:
+        data = np.asarray(pairs, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"non-finite number in [re, im] pairs ({exc})") from None
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite number in [re, im] pairs")
     return data[:, 0] + 1j * data[:, 1]
 
 
@@ -521,9 +517,21 @@ def tree_from_dict(doc: dict, sys: FrameletSystem) -> FrameletTree:
     for entry in doc["levels"]:
         seq = sequence_from_dict(entry, sys)
         if entry["channel"] == "low":
+            if base is not None:
+                raise ValueError("coefficient tree has a duplicate low-pass entry")
             base = seq
-        else:
-            details[int(entry["j"])][int(entry["n"]) - 1] = seq
+            continue
+        j, n = int(entry["j"]), int(entry.get("n", 0))
+        if not (0 <= j < J and 1 <= n <= r):
+            raise ValueError(
+                f"high-pass entry (j={j}, n={n}) outside the tree's "
+                f"{J} levels and {r} channels"
+            )
+        if details[j][n - 1] is not None:
+            raise ValueError(
+                f"coefficient tree has a duplicate entry (high, j={j}, n={n})"
+            )
+        details[j][n - 1] = seq
     if base is None or any(h is None for highs in details for h in highs):
         raise ValueError("coefficient tree is missing entries")
     return FrameletTree(base=base, details=details)

@@ -12,6 +12,7 @@ from triframe.basis import (
     basis_matrix,
     degree_cutoff,
     eigenvalue,
+    expansion_values,
     in_simplex,
     jacobi_eval,
     laplace_beltrami_apply,
@@ -124,6 +125,40 @@ def test_basis_matrix_matches_scalar_eval():
                     rtol=1e-11,
                     atol=1e-11,
                 )
+
+
+def _points_with_shared_x1():
+    """Random points plus the corner (1, 0), both edges through it, the
+    hypotenuse and columns of points sharing one x1 value."""
+    rng = np.random.default_rng(5)
+    inner = rng.dirichlet(np.ones(3), size=30)[:, :2]
+    x1 = np.repeat([0.0, 0.2, 0.5, 0.9], 5)
+    frac = np.tile([0.0, 0.25, 0.5, 0.75, 1.0], 4)
+    columns = np.column_stack((x1, frac * (1.0 - x1)))
+    corner = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.0], [0.6, 0.4], [1.0 - 1e-15, 0.0]]
+    return np.vstack((inner, columns, corner))
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_expansion_values_match_table(complex_coeffs):
+    pts = _points_with_shared_x1()
+    assert np.unique(pts[:, 0]).size < pts.shape[0]
+    cutoff = 14
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal(tri_dim(cutoff))
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(tri_dim(cutoff))
+    want = basis_matrix(pts, cutoff) @ coeffs
+    got = expansion_values(pts, coeffs, cutoff)
+    assert got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_expansion_values_rejects_bad_input():
+    with pytest.raises(ValueError):
+        expansion_values([(0.2, 0.2)], np.ones(tri_dim(3) - 1), 3)
+    with pytest.raises(DomainError):
+        expansion_values([(0.8, 0.8)], np.ones(tri_dim(3)), 3)
 
 
 def test_orthonormality_under_exact_rule():

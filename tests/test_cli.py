@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from jsonschema import Draft202012Validator
 
 from triframe import cli
@@ -127,6 +128,50 @@ def test_transform_schema_violation(tmp_path, capsys):
     )
     assert code == 2
     assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ("[[NaN, 0], [1, 0], [0, Infinity]]", "validation error"),
+        ("[[1, 0], [-Infinity, 0], [0, 0]]", "validation error"),
+        ("[[1e400, 0], [0, 0], [0, 0]]", "non-finite"),
+        ("[[1%s, 0], [0, 0], [0, 0]]" % ("0" * 400), "non-finite"),
+    ],
+)
+def test_transform_rejects_non_finite_numbers(tmp_path, capsys, coeffs, message):
+    f_path = tmp_path / "f.json"
+    f_path.write_text('{"cutoff": 1, "coeffs": %s}' % coeffs)
+    out = tmp_path / "t.json"
+    code = cli.main(
+        ["transform", "--roundtrip", "-j", "2", "--input", str(f_path),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transform_reconstruct_rejects_duplicate_entries(tmp_path, capsys, rng):
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, degree_cutoff(2), rng)
+    tree_path = tmp_path / "tree.json"
+    cli.main(
+        ["transform", "--decompose", "-j", "2", "--input", str(f_path),
+         "--out", str(tree_path)]
+    )
+    doc = json.loads(tree_path.read_text())
+    doc["levels"].append(doc["levels"][1])
+    tree_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "c.json"
+    code = cli.main(
+        ["transform", "--reconstruct", "-j", "2", "--input", str(tree_path),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert "duplicate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transform_bit_repro_is_deterministic(tmp_path, rng):

@@ -230,5 +230,7 @@ def test_weighted_basis_cache_slices():
     part = rule.weighted_basis(3)
     assert part.shape == (rule.size, tri_dim(3))
     assert np.array_equal(part, full[:, : tri_dim(3)])
+    # the smaller table is a contiguous column prefix of the cached one
+    assert np.shares_memory(part, full) and part.T.flags.c_contiguous
     expected = math.sqrt(rule.weights[0]) * basis_eval((2, 1), rule.nodes[0])
     assert_allclose(full[0, 4], expected, rtol=1e-12)

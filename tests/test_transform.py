@@ -9,6 +9,7 @@ from conftest import random_spectral
 from triframe.basis import (
     SpectralVector,
     basis_eval,
+    basis_matrix,
     degree_cutoff,
     eigenvalue,
     lambda_vector,
@@ -135,11 +136,32 @@ def test_framelet_matches_direct_sum_oracle(sys_k5, bank):
 
 def test_framelet_values_matches_pointwise(sys_k5):
     pts = triangle_grid(17)
-    vals = framelet_values(sys_k5, "low", 2, 5, pts, chunk=7)
+    vals = framelet_values(sys_k5, "low", 2, 5, pts)
     for i in (0, 31, len(pts) - 1):
         assert_allclose(
             vals[i], framelet_eval(sys_k5, "low", 2, 5, pts[i]), rtol=1e-12
         )
+
+
+def test_framelet_values_match_table_path(sys_k5, bank):
+    # the table-free sum against the tabulated synthesis of the same framelet,
+    # its coefficients read from the rule's weighted basis table
+    j, k, n = 3, 37, 2
+    symbol = bank.scaling_highs[n - 1]
+    cut = max_degree_within(2.0**j * symbol.support[1])
+    row = kronecker_lattice(j + 1).weighted_basis(cut)[k]
+    coeffs = symbol(lambda_vector(cut) / 2.0**j) * row
+    pts = triangle_grid(33)
+    want = basis_matrix(pts, cut) @ coeffs
+    got = framelet_values(sys_k5, "high", j, k, pts, n=n)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_framelet_values_build_no_table(bank):
+    sys_ = kronecker_system(bank, 5)
+    framelet_values(sys_, "high", 4, 100, triangle_grid(64), n=1)
+    framelet_eval(sys_, "low", 3, 7, (0.2, 0.3))
+    assert all(not rule._basis_cache for rule in sys_.rules)
 
 
 def test_framelet_index_errors(sys_k5):
@@ -507,6 +529,10 @@ def test_tree_serialization_round_trip(sys_k5, rng):
     for got, want in zip(back.details, tree.details):
         for g, w in zip(got, want):
             assert np.array_equal(g.values, w.values)
+    # a duplicated low- or high-pass entry is rejected, not overwritten
+    for entry in (doc["levels"][0], doc["levels"][3]):
+        with pytest.raises(ValueError, match="duplicate"):
+            tree_from_dict(dict(doc, levels=doc["levels"] + [entry]), sys_k5)
     # a missing entry is rejected
     doc["levels"] = doc["levels"][:-1]
     with pytest.raises(ValueError):
