@@ -31,7 +31,6 @@ from .filters import (
     check_partition,
     check_refinement,
     default_bank,
-    eval_symbol,
     nu,
 )
 from .quadrature import (

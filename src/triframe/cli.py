@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator, ValidationError
+import jsonschema
+from jsonschema import ValidationError, validators
 
 from . import basis, filters, quadrature, transform
 
@@ -33,9 +34,11 @@ class ToleranceFailure(Exception):
     """A check command exceeded its numerical tolerance."""
 
 
+_NUMBER = {"type": "number"}
+
 _PAIR = {
     "type": "array",
-    "items": {"type": "number"},
+    "items": _NUMBER,
     "minItems": 2,
     "maxItems": 2,
 }
@@ -50,7 +53,7 @@ RULE_SCHEMA = {
         "shift": {"anyOf": [_PAIR, {"type": "null"}]},
         "strategy": {"type": ["string", "null"]},
         "nodes": {"type": "array", "items": _PAIR},
-        "weights": {"type": "array", "items": {"type": "number"}},
+        "weights": {"type": "array", "items": _NUMBER},
     },
     "additionalProperties": False,
 }
@@ -65,7 +68,7 @@ SPECTRAL_SCHEMA = {
     "additionalProperties": False,
 }
 
-_SEQUENCE_ENTRY = {
+SEQUENCE_SCHEMA = {
     "type": "object",
     "required": ["channel", "j", "rule_ref", "v", "spectral"],
     "properties": {
@@ -85,12 +88,44 @@ TREE_SCHEMA = {
     "properties": {
         "J": {"type": "integer", "minimum": 1},
         "r": {"type": "integer", "minimum": 1},
-        "levels": {"type": "array", "items": _SEQUENCE_ENTRY, "minItems": 2},
+        "levels": {"type": "array", "items": SEQUENCE_SCHEMA, "minItems": 2},
     },
     "additionalProperties": False,
 }
 
-SEQUENCE_SCHEMA = _SEQUENCE_ENTRY
+# json.load yields exactly these types for a JSON number; bool is excluded,
+# as jsonschema's "number" excludes it
+_NUMERIC = (int, float)
+
+
+def _items(validator, items, instance, schema):
+    """``items`` with one typed pass over arrays of numbers and [re, im] pairs.
+
+    Only an element the pass cannot accept is handed to jsonschema, so errors
+    (message and path) are jsonschema's own.
+    """
+    if items is not _PAIR and items is not _NUMBER:
+        yield from jsonschema.Draft202012Validator.VALIDATORS["items"](
+            validator, items, instance, schema
+        )
+        return
+    if not validator.is_type(instance, "array"):
+        return
+    if items is _PAIR:
+        rejected = (
+            i for i, p in enumerate(instance)
+            if type(p) is not list or len(p) != 2
+            or type(p[0]) not in _NUMERIC or type(p[1]) not in _NUMERIC
+        )
+    else:
+        rejected = (i for i, x in enumerate(instance) if type(x) not in _NUMERIC)
+    for i in rejected:
+        yield from validator.descend(instance[i], items, path=i)
+
+
+Draft202012Validator = validators.extend(
+    jsonschema.Draft202012Validator, {"items": _items}
+)
 
 
 @dataclass
@@ -146,14 +181,16 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    # no indent: indentation forces CPython's pure-Python encoder
+    _atomic_write_text(path, json.dumps(doc) + "\n")
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list, columns) -> None:
+    """One row per index of the equal-length columns, each value repr(float(v))."""
+    # formatted lazily, column by column, so no per-column list is held
+    cells = [map(repr, map(float, col)) for col in columns]
+    rows = map(",".join, zip(*cells))
+    _atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
 def _reject_constant(token: str):
@@ -341,7 +378,7 @@ def cmd_sample(cfg: JobConfig) -> int:
             columns.append(high(xi))
             header.append(f"b{n}_hat")
         out = _resolve_out(cfg, f"masks_{cfg.grid}.csv")
-        _write_csv(out, header, zip(*columns))
+        _write_csv(out, header, columns)
         print(f"wrote {out}")
         return EXIT_OK
 
@@ -359,7 +396,7 @@ def cmd_sample(cfg: JobConfig) -> int:
     pts = transform.triangle_grid(cfg.grid)
     values = transform.framelet_values(sys_, kind, cfg.level, cfg.node, pts, n=n)
     out = _resolve_out(cfg, f"framelet_{cfg.kind}_j{cfg.level}_k{cfg.node}.csv")
-    _write_csv(out, ["x1", "x2", "value"], np.column_stack((pts, values)))
+    _write_csv(out, ["x1", "x2", "value"], (pts[:, 0], pts[:, 1], values))
     print(f"wrote {out}")
     return EXIT_OK
 

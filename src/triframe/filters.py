@@ -93,11 +93,6 @@ class SpectralSymbol:
         return sorted(set(pts))
 
 
-def eval_symbol(symbol: SpectralSymbol, xi):
-    """Piecewise evaluation with |xi| symmetry; zero outside the support."""
-    return symbol(xi)
-
-
 @dataclass(frozen=True)
 class FilterBank:
     """One low-pass and r high-pass masks with their scaling symbols."""

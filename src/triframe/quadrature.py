@@ -46,7 +46,7 @@ class QuadratureRule:
     """Weighted node set on the triangle.
 
     Treated as immutable after construction; the lazily built weighted basis
-    matrices are cached per spectral cutoff.
+    matrices and Gram matrices are cached per spectral cutoff.
     """
 
     nodes: np.ndarray
@@ -55,6 +55,9 @@ class QuadratureRule:
     level: int | None = None
     generator_meta: dict = field(default_factory=dict)
     _basis_cache: dict = field(
+        default_factory=dict, repr=False, compare=False, init=False
+    )
+    _gram_cache: dict = field(
         default_factory=dict, repr=False, compare=False, init=False
     )
 
@@ -109,6 +112,7 @@ class QuadratureRule:
 
     def clear_cache(self) -> None:
         self._basis_cache.clear()
+        self._gram_cache.clear()
 
 
 def _unit_square_stream(generator, shift, count: int) -> np.ndarray:
@@ -253,13 +257,19 @@ def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
     """Matrix of weighted sums of basis products over the rule's nodes.
 
     Equals the identity exactly when the rule is polynomial-exact to degree
-    2*cutoff; for the real-valued basis the matrix is real symmetric.
+    2*cutoff; for the real-valued basis the matrix is real symmetric.  The
+    entries are computed once per rule and cutoff, and are read-only.
     """
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
-    table = rule.weighted_basis(cutoff)
-    # the basis is real: table.T @ table lets BLAS take the symmetric (SYRK) path
-    return GramMatrix(cutoff, table.T @ table)
+    entries = rule._gram_cache.get(cutoff)
+    if entries is None:
+        table = rule.weighted_basis(cutoff)
+        # the basis is real: table.T @ table lets BLAS take the symmetric (SYRK) path
+        entries = table.T @ table
+        entries.flags.writeable = False
+        rule._gram_cache[cutoff] = entries
+    return GramMatrix(cutoff, entries)
 
 
 def generalized_tightness_residual(
@@ -304,8 +314,8 @@ def rule_to_dict(rule: QuadratureRule) -> dict:
         "generator": meta.get("generator"),
         "shift": meta.get("shift"),
         "strategy": meta.get("strategy"),
-        "nodes": [[float(x), float(y)] for x, y in rule.nodes],
-        "weights": [float(w) for w in rule.weights],
+        "nodes": rule.nodes.tolist(),
+        "weights": rule.weights.tolist(),
     }
 
 

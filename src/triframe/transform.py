@@ -455,7 +455,8 @@ def relative_difference(a: CoefficientSequence, b: CoefficientSequence) -> float
 
 
 def _complex_pairs(arr: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(arr, dtype=complex)]
+    arr = np.asarray(arr, dtype=complex)
+    return np.column_stack((arr.real, arr.imag)).tolist()
 
 
 def _pairs_to_array(pairs) -> np.ndarray:

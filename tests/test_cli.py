@@ -1,12 +1,16 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from triframe import cli
+from triframe import cli, quadrature
 from triframe.basis import degree_cutoff, tri_dim
 from triframe.filters import FilterBank, bank_to_dict, default_bank
 from triframe.quadrature import lattice_size, rule_from_dict
@@ -42,7 +46,7 @@ def test_gen_lattice_json_round_trips_bitexactly(tmp_path):
     cli.main(["gen-lattice", "-j", "2", "--out", str(out)])
     text = out.read_text()
     doc = json.loads(text)
-    rebuilt = json.dumps(cli.quadrature.rule_to_dict(rule_from_dict(doc)), indent=1) + "\n"
+    rebuilt = json.dumps(cli.quadrature.rule_to_dict(rule_from_dict(doc))) + "\n"
     assert rebuilt == text
 
 
@@ -203,6 +207,39 @@ def test_diagnostics_report(tmp_path, capsys):
     assert "partition residual" in captured
 
 
+def _diagnostics_report(tmp_path, monkeypatch, gram_matrix, name):
+    monkeypatch.setattr(quadrature, "gram_matrix", gram_matrix)
+    out = tmp_path / name
+    assert cli.main(["diagnostics", "-j", "3", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_diagnostics_builds_each_gram_once(tmp_path, monkeypatch):
+    original = quadrature.gram_matrix
+    # (id(rule), cutoff) -> (rule, entries returned); holding the rule keeps its id unique
+    products = {}
+
+    def counting(rule, cutoff):
+        gram = original(rule, cutoff)
+        products.setdefault((id(rule), cutoff), (rule, []))[1].append(gram.entries)
+        return gram
+
+    def uncached(rule, cutoff):
+        rule.clear_cache()
+        return original(rule, cutoff)
+
+    report = _diagnostics_report(tmp_path, monkeypatch, counting, "cached.json")
+    calls = [entries for _, returned in products.values() for entries in returned]
+    # 4 level-loop Grams and 2 per tightness level j = 1..3; the fine-rule
+    # Gram (rule_j, cutoff_j) repeats the level loop's, and so does the
+    # coarse one at j = 1, since cutoff_0 = cutoff_1 = 0
+    assert len(calls) == 10 and len(products) == 6
+    for _, returned in products.values():
+        assert all(entries is returned[0] for entries in returned)
+        assert not returned[0].flags.writeable
+    assert report == _diagnostics_report(tmp_path, monkeypatch, uncached, "fresh.json")
+
+
 def test_diagnostics_tolerance_exit_code(tmp_path, capsys):
     # even the shipped bank cannot meet an impossible tolerance
     code = cli.main(
@@ -310,3 +347,118 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "nodes: 2" in result.stdout
+
+
+# -- the typed `items` pass agrees with plain jsonschema ---------------------
+
+_SCALAR = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+_ELEMENT = st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3))
+_CANDIDATE = st.one_of(st.lists(_ELEMENT, max_size=3), _SCALAR)
+_ARRAY = st.one_of(st.lists(_CANDIDATE, max_size=4), _SCALAR)
+
+
+def _entry(v, coeffs):
+    return {"channel": "low", "j": 0, "rule_ref": "kronecker_lattice/0",
+            "v": v, "spectral": {"cutoff": 0, "coeffs": coeffs}}
+
+
+@st.composite
+def _documents(draw):
+    """A schema and a document whose number arrays mix valid and invalid items."""
+    kind = draw(st.sampled_from(["spectral", "tree", "rule"]))
+    if kind == "spectral":
+        return cli.SPECTRAL_SCHEMA, {"cutoff": 1, "coeffs": draw(_ARRAY)}
+    if kind == "tree":
+        levels = [_entry(draw(_ARRAY), draw(_ARRAY)) for _ in range(2)]
+        return cli.TREE_SCHEMA, {"J": 1, "r": 2, "levels": levels}
+    return cli.RULE_SCHEMA, {
+        "kind": "custom", "level": None, "generator": draw(_CANDIDATE),
+        "shift": None, "strategy": None, "nodes": draw(_ARRAY),
+        "weights": draw(st.one_of(st.lists(_ELEMENT, max_size=4), _SCALAR)),
+    }
+
+
+def _errors(validator_cls, schema, doc):
+    return [
+        (list(err.absolute_path), err.message)
+        for err in validator_cls(schema).iter_errors(doc)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_fast_validator_matches_jsonschema(case):
+    schema, doc = case
+    want = _errors(jsonschema.Draft202012Validator, schema, doc)
+    assert _errors(cli.Draft202012Validator, schema, doc) == want
+
+
+def test_fast_validator_reports_first_bad_pair(tmp_path, capsys):
+    coeffs = [[1.0, 0.0], [2, 3], [True, 0.0], ["x"]]
+    f_path = tmp_path / "f.json"
+    f_path.write_text(json.dumps({"cutoff": 1, "coeffs": coeffs}))
+    code = cli.main(["transform", "--roundtrip", "-j", "2", "--input", str(f_path),
+                     "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "validation error at /coeffs/2/0: True is not of type 'number'\n"
+
+
+# -- writers: JSON parses to the indented document, CSV keeps its bytes -------
+
+_SPECIAL = np.array([-0.0, 1e-300, 1e300, 3.0, 0.1, -2.5e-7, 123456789.0, 5e-324])
+
+
+def _old_csv(header, rows):
+    """The row-by-row formatting the column writer replaces."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_sample_masks_csv_bytes(tmp_path, monkeypatch):
+    highs = (lambda xi: -_SPECIAL, lambda xi: _SPECIAL[::-1])
+    fake = SimpleNamespace(low=lambda xi: _SPECIAL, highs=highs)
+    monkeypatch.setattr(cli, "_load_bank", lambda name: fake)
+    out = tmp_path / "masks.csv"
+    grid = len(_SPECIAL)
+    assert cli.main(["sample", "--kind", "masks", "--grid", str(grid), "--out", str(out)]) == 0
+    xi = np.linspace(0.0, 0.5, grid)
+    columns = [xi, _SPECIAL, -_SPECIAL, _SPECIAL[::-1]]
+    want = _old_csv(["xi", "a_hat", "b1_hat", "b2_hat"], zip(*columns))
+    assert out.read_text() == want
+
+
+def test_sample_framelet_csv_bytes(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_values(sys_, kind, level, node, pts, n=1):
+        seen["values"] = np.resize(_SPECIAL, len(pts))
+        return seen["values"]
+
+    monkeypatch.setattr(cli.transform, "framelet_values", fake_values)
+    out = tmp_path / "phi.csv"
+    code = cli.main(["sample", "--kind", "low", "-j", "1", "--grid", "8", "--out", str(out)])
+    assert code == 0
+    pts = triangle_grid(8)
+    want = _old_csv(["x1", "x2", "value"], np.column_stack((pts, seen["values"])))
+    assert out.read_text() == want
+
+
+def test_write_json_parses_to_indented_document(tmp_path):
+    doc = {"a": _SPECIAL.tolist(), "n": 7, "s": "x", "pairs": [[1.5, -2.0]],
+           "none": None, "flag": True, "big": 2**70}
+    out = tmp_path / "doc.json"
+    cli._write_json(out, doc)
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    # repr tells -0.0 from 0.0 and compares floats digit by digit
+    assert repr(json.loads(text)) == repr(json.loads(json.dumps(doc, indent=1)))
+    assert repr(json.loads(text)) == repr(doc)

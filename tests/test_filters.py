@@ -16,7 +16,6 @@ from triframe.filters import (
     check_limit_lowpass,
     check_partition,
     check_refinement,
-    eval_symbol,
     nu,
 )
 
@@ -61,11 +60,6 @@ def test_symbol_even_in_xi(bank):
     for sym in (bank.low, *bank.highs, bank.scaling_low, *bank.scaling_highs):
         for xi in (0.03, 0.2, 0.45, 0.8):
             assert sym(-xi) == sym(xi)
-
-
-def test_eval_symbol_matches_call(bank):
-    xi = np.linspace(0, 0.5, 11)
-    assert np.array_equal(eval_symbol(bank.low, xi), bank.low(xi))
 
 
 def test_partition_identity(bank):

@@ -539,6 +539,24 @@ def test_tree_serialization_round_trip(sys_k5, rng):
         tree_from_dict(doc, sys_k5)
 
 
+def test_complex_pairs_match_float_loop(rng):
+    """The array conversion gives the floats the per-element loop gave."""
+    from triframe.transform import _complex_pairs
+
+    special = np.array([-0.0, 1e-300, 1e300, 3.0, 5e-324])
+    cases = [
+        rng.standard_normal(7) + 1j * rng.standard_normal(7),
+        special + 1j * special[::-1],
+        special,
+        np.empty(0, dtype=complex),
+    ]
+    for arr in cases:
+        want = [[float(z.real), float(z.imag)] for z in np.asarray(arr, dtype=complex)]
+        got = _complex_pairs(arr)
+        assert repr(got) == repr(want)
+        assert all(type(x) is float for pair in got for x in pair)
+
+
 def test_bit_reproducible_mode(sys_k5, rng):
     f = random_spectral(degree_cutoff(4), rng)
     try:
