@@ -9,6 +9,7 @@ check command.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -157,6 +158,52 @@ class JobConfig:
             raise ValidationError("tolerance must be positive")
 
 
+def _cgroup_memory_limits(
+    proc: Path = Path("/proc/self/cgroup"), mount: Path = Path("/sys/fs/cgroup")
+):
+    """Memory limits of this process's cgroup and its ancestors (v1 or v2)."""
+    try:
+        entries = proc.read_text().splitlines()
+    except OSError:
+        return
+    for entry in entries:
+        _, controllers, path = entry.split(":", 2)
+        if controllers == "":
+            root, name = mount, "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = mount / "memory", "memory.limit_in_bytes"
+        else:
+            continue
+        parts = Path(path).parts[1:]
+        for depth in range(len(parts), -1, -1):
+            try:
+                yield int((root.joinpath(*parts[:depth]) / name).read_text())
+            except (OSError, ValueError):  # absent, or "max" for no limit
+                pass
+
+
+def table_budget_bytes() -> int:
+    """Largest synthesis table a command may build: half of the memory limit.
+
+    The limit is physical memory, or the cgroup limit when that is lower.  The
+    other half is headroom for the rest of the command: the lower levels'
+    tables, Grams, products and the interpreter.
+    """
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return min([physical, *_cgroup_memory_limits()]) // 2
+
+
+def _check_table_budget(level: int) -> None:
+    """Refuse, before building anything, a level whose lattice table cannot fit."""
+    need = 8 * quadrature.lattice_size(level) * basis.tri_dim(basis.degree_cutoff(level))
+    budget = table_budget_bytes()
+    if need > budget:
+        raise ValidationError(
+            f"level {level} needs a {need / 1e9:.2f} GB synthesis table, over the "
+            f"budget of {budget / 1e9:.2f} GB (half of the memory limit)"
+        )
+
+
 def data_dir() -> Path:
     return Path(os.environ.get("FRAMELET_DATA_DIR", "."))
 
@@ -167,12 +214,13 @@ def _resolve_out(cfg: JobConfig, default_name: str) -> Path:
     return data_dir() / default_name
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the strings of chunks, in turn, to a temp file renamed to path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -182,15 +230,27 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 def _write_json(path: Path, doc: dict) -> None:
     # no indent: indentation forces CPython's pure-Python encoder
-    _atomic_write_text(path, json.dumps(doc) + "\n")
+    _atomic_write(path, (json.dumps(doc), "\n"))
+
+
+def _formatted(column, end: str) -> np.ndarray:
+    """repr(float(v)) + end for each value, as an object array of shared strings.
+
+    Each distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart.
+    """
+    bits = np.ascontiguousarray(column, dtype=float).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) + end for v in distinct.view(float).tolist()], dtype=object)
+    return text[inverse]
 
 
 def _write_csv(path: Path, header: list, columns) -> None:
     """One row per index of the equal-length columns, each value repr(float(v))."""
-    # formatted lazily, column by column, so no per-column list is held
-    cells = [map(repr, map(float, col)) for col in columns]
-    rows = map(",".join, zip(*cells))
-    _atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    cells = [_formatted(col, end) for col, end in zip(columns, ends)]
+    # rows are streamed to the file, never joined into one text
+    rows = map("".join, zip(*cells))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows))
 
 
 def _reject_constant(token: str):
@@ -221,6 +281,7 @@ def _build_system(cfg: JobConfig, levels: int) -> transform.FrameletSystem:
 
 
 def cmd_gen_lattice(cfg: JobConfig) -> int:
+    _check_table_budget(cfg.level)
     rule = quadrature.kronecker_lattice(
         cfg.level, cfg.generator, cfg.shift, cfg.strategy
     )
@@ -253,6 +314,7 @@ def _spectral_from_doc(doc: dict, levels: int) -> basis.SpectralVector:
 
 
 def cmd_transform(cfg: JobConfig) -> int:
+    _check_table_budget(cfg.level)
     transform.set_bit_reproducible(cfg.bit_repro)
     doc = _load_json(cfg.input_path)
     sys_ = _build_system(cfg, cfg.level)
@@ -284,6 +346,7 @@ def cmd_transform(cfg: JobConfig) -> int:
 def cmd_diagnostics(cfg: JobConfig) -> int:
     if cfg.level < 1:
         raise ValidationError("diagnostics needs level >= 1")
+    _check_table_budget(cfg.level)
     bank = _load_bank(cfg.bank_name)
     grid = np.linspace(0.0, 0.5, 10001)
     partition = filters.check_partition(bank, grid)

@@ -91,8 +91,15 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
     def with_level(self, level: int) -> "QuadratureRule":
-        """Copy of this rule tagged with a framelet level (shares node data)."""
-        return replace(self, level=level)
+        """Copy of this rule tagged with a framelet level.
+
+        The copy shares the node data and the table and Gram caches, so the
+        levels of one node set build each table once.
+        """
+        copy = replace(self, level=level)
+        copy._basis_cache = self._basis_cache
+        copy._gram_cache = self._gram_cache
+        return copy
 
     def weighted_basis(self, cutoff: int) -> np.ndarray:
         """sqrt(weight)-scaled basis table, shape (N, tri_dim(cutoff)); cached.
@@ -104,6 +111,8 @@ class QuadratureRule:
             return np.empty((self.size, 0))
         best = max((c for c in self._basis_cache if c >= cutoff), default=None)
         if best is None:
+            if np.any(self.weights < 0.0):
+                raise DomainError("a sqrt-weighted table needs positive weights")
             table = basis_matrix(self.nodes, cutoff, validate=False)
             table *= np.sqrt(self.weights)[:, None]
             self._basis_cache[cutoff] = table
@@ -219,11 +228,16 @@ def exactness_degree(rule: QuadratureRule, tol: float, max_degree: int = 60) -> 
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    positive = bool(np.all(rule.weights > 0.0))
     cap = max_degree + 1
     cutoff = min(8, cap)
     while True:
-        table = basis_matrix(rule.nodes, cutoff, validate=False)
-        sums = rule.weights @ table
+        if positive:
+            # sqrt(w) times the cached sqrt(w)-weighted table: the weighted sums
+            sums = np.sqrt(rule.weights) @ rule.weighted_basis(cutoff)
+        else:
+            # a negative weight has no real square root, so no cached table
+            sums = rule.weights @ basis_matrix(rule.nodes, cutoff, validate=False)
         exact = np.zeros_like(sums)
         exact[0] = 1.0
         err = np.abs(sums - exact)
@@ -264,9 +278,13 @@ def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
         raise DomainError("cutoff must be nonnegative")
     entries = rule._gram_cache.get(cutoff)
     if entries is None:
-        table = rule.weighted_basis(cutoff)
-        # the basis is real: table.T @ table lets BLAS take the symmetric (SYRK) path
-        entries = table.T @ table
+        if np.all(rule.weights > 0.0):
+            table = rule.weighted_basis(cutoff)
+            # the basis is real: table.T @ table lets BLAS take the symmetric (SYRK) path
+            entries = table.T @ table
+        else:
+            table = basis_matrix(rule.nodes, cutoff, validate=False)
+            entries = table.T @ (rule.weights[:, None] * table)
         entries.flags.writeable = False
         rule._gram_cache[cutoff] = entries
     return GramMatrix(cutoff, entries)

@@ -10,7 +10,7 @@ band twice as wide as the low-pass one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -46,32 +46,53 @@ def set_bit_reproducible(flag: bool) -> None:
     _bit_reproducible = bool(flag)
 
 
-def _synthesize(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    if _bit_reproducible:
-        return (matrix * coeffs[None, :]).sum(axis=1)
-    if np.iscomplexobj(coeffs):
-        # both parts in one pass over the table: a two-row product with the
-        # contiguous (dim, N) array behind the (N, dim) view
-        re, im = np.stack((coeffs.real, coeffs.imag)) @ matrix.T
-        return re + 1j * im
-    return matrix @ coeffs
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """A new complex array from its parts, without re + 1j * im temporaries."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
-def _adjoint_apply(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _synthesize(table: np.ndarray, coeffs_list: Sequence[np.ndarray]) -> list:
+    """Point values of each complex coefficient vector over one (N, dim) table.
+
+    A vector shorter than dim has a lower cutoff and is summed over the first
+    columns.  All vectors are applied in one pass over the table: their real
+    and imaginary parts, zero-padded to dim, are the rows of one product with
+    the contiguous (dim, N) array behind the view.
+    """
     if _bit_reproducible:
-        return (np.conj(matrix) * values[:, None]).sum(axis=0)
-    if np.iscomplexobj(values):
-        return matrix.T @ values.real + 1j * (matrix.T @ values.imag)
-    return matrix.T @ values
+        return [(table[:, : c.size] * c[None, :]).sum(axis=1) for c in coeffs_list]
+    rows = np.zeros((2 * len(coeffs_list), table.shape[1]))
+    for i, c in enumerate(coeffs_list):
+        rows[2 * i, : c.size] = c.real
+        rows[2 * i + 1, : c.size] = c.imag
+    parts = rows @ table.T
+    return [_complex(parts[2 * i], parts[2 * i + 1]) for i in range(len(coeffs_list))]
+
+
+def _adjoint_apply(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    if _bit_reproducible:
+        return (np.conj(table) * values[:, None]).sum(axis=0)
+    # both parts in one pass over the table
+    re, im = np.stack((values.real, values.imag)) @ table
+    return _complex(re, im)
 
 
 @dataclass(eq=False)
 class CoefficientSequence:
-    """Framelet coefficients over one rule's nodes plus their spectrum."""
+    """Framelet coefficients over one rule's nodes plus their spectrum.
+
+    Sequences of one rule that come out of one transform step share a
+    synthesis batch: the first read of any member's values synthesizes every
+    member that has none yet, in one pass over the rule's table.
+    """
 
     rule: QuadratureRule
     spectral: SpectralVector | None
     _values: np.ndarray | None = None
+    _batch: list | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         if self._values is not None:
@@ -91,12 +112,24 @@ class CoefficientSequence:
     def values(self) -> np.ndarray:
         """Point values sqrt(w_k) * sum of spectrum * basis at node k."""
         if self._values is None:
-            table = self.rule.weighted_basis(self.spectral.cutoff)
-            self._values = _synthesize(table, self.spectral.coeffs)
+            pending = [s for s in self._batch or [self] if s._values is None]
+            cutoff = max(s.spectral.cutoff for s in pending)
+            table = self.rule.weighted_basis(cutoff)
+            synthesized = _synthesize(table, [s.spectral.coeffs for s in pending])
+            for seq, values in zip(pending, synthesized):
+                seq._values = values
+                seq._batch = None
         return self._values
 
     def __len__(self) -> int:
         return self.rule.size
+
+
+def _share_batch(seqs: Sequence[CoefficientSequence]) -> None:
+    """Put the sequences that have no values yet, all on one rule, in one batch."""
+    batch = [seq for seq in seqs if seq._values is None]
+    for seq in batch:
+        seq._batch = batch
 
 
 @dataclass
@@ -198,6 +231,7 @@ def analyze(sys: FrameletSystem, f: SpectralVector, j: int):
         CoefficientSequence(rule_hi, _filtered_spectrum(f, sym, j))
         for sym in sys.bank.scaling_highs
     ]
+    _share_batch(highs)
     return low, highs
 
 
@@ -235,13 +269,18 @@ def upsample(sys: FrameletSystem, v: CoefficientSequence) -> CoefficientSequence
     return CoefficientSequence(sys.rule(j), v.spectral.resized(cut))
 
 
-def decompose(sys: FrameletSystem, v: CoefficientSequence):
-    """One-level decomposition: (low at level j-1, r highs on the level-j rule)."""
+def decompose(sys: FrameletSystem, v: CoefficientSequence, *, batch_input: bool = True):
+    """One-level decomposition: (low at level j-1, r highs on the level-j rule).
+
+    The highs share a synthesis batch, which v joins when it has no values
+    yet and batch_input is true.
+    """
     j = v.level
     if j < 1:
         raise ValueError("cannot decompose below level 1")
     low = downsample(sys, convolve(v, sys.bank.low, conjugate=True))
     highs = [convolve(v, sym, conjugate=True) for sym in sys.bank.highs]
+    _share_batch([v, *highs] if batch_input else highs)
     return low, highs
 
 
@@ -293,14 +332,18 @@ class FrameletTree:
 
 
 def multilevel_decompose(sys: FrameletSystem, v: CoefficientSequence) -> FrameletTree:
-    """Iterate decompose from the sequence's level down to level 0."""
+    """Iterate decompose from the sequence's level down to level 0.
+
+    Only v joins its step's synthesis batch: the intermediate low-pass
+    sequences are not part of the tree, so their values are never needed.
+    """
     top = v.level
     if top < 1:
         raise ValueError("multilevel decomposition needs a level >= 1 input")
     details = [None] * top
     current = v
     for j in range(top, 0, -1):
-        current, highs = decompose(sys, current)
+        current, highs = decompose(sys, current, batch_input=j == top)
         details[j - 1] = highs
     return FrameletTree(base=current, details=details)
 
@@ -322,7 +365,7 @@ def dft(u: SpectralVector, j: int, rule: QuadratureRule) -> np.ndarray:
         raise ValueError(
             f"cutoff {u.cutoff} exceeds level-{j} cap {degree_cutoff(j)}"
         )
-    return _synthesize(rule.weighted_basis(u.cutoff), u.coeffs)
+    return _synthesize(rule.weighted_basis(u.cutoff), [u.coeffs])[0]
 
 
 def adjoint_dft(values, j: int, rule: QuadratureRule) -> SpectralVector:

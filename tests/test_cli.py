@@ -55,6 +55,66 @@ def test_gen_lattice_level_guard(tmp_path, capsys):
     assert "level" in capsys.readouterr().err
 
 
+def test_level_whose_table_exceeds_the_budget_is_refused(tmp_path, capsys, monkeypatch):
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, 0)
+    table_bytes = 8 * lattice_size(3) * tri_dim(degree_cutoff(3))
+    monkeypatch.setattr(cli, "table_budget_bytes", lambda: table_bytes - 1)
+    commands = [
+        ["transform", "--roundtrip", "-j", "3", "--input", str(f_path)],
+        ["gen-lattice", "-j", "3"],
+        ["diagnostics", "-j", "3"],
+    ]
+    for argv in commands:
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{table_bytes / 1e9:.2f} GB" in err and "budget" in err
+        assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+    # sampling builds no table, so the guard does not apply
+    csv = tmp_path / "phi.csv"
+    assert cli.main(["sample", "--kind", "low", "-j", "3", "--grid", "8", "--out", str(csv)]) == 0
+    # the budget at the real table size is met
+    monkeypatch.setattr(cli, "table_budget_bytes", lambda: table_bytes)
+    assert cli.main(["gen-lattice", "-j", "3", "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_level_8_is_refused_on_an_8_gb_machine(monkeypatch):
+    # half of 8.42 GB; the 65537 x 8256 x 8 B = 4.33 GB table is never built
+    monkeypatch.setattr(cli, "table_budget_bytes", lambda: 4_210_000_000)
+    cli._check_table_budget(7)
+    with pytest.raises(cli.ValidationError, match="level 8 needs a 4.33 GB"):
+        cli._check_table_budget(8)
+
+
+def test_cgroup_memory_limits_are_read_up_the_hierarchy(tmp_path):
+    proc = tmp_path / "cgroup"
+    proc.write_text("5:cpu:/jobs\n4:memory:/jobs/a\n0::/svc\n")
+    mount = tmp_path / "fs"
+    files = {
+        "memory/jobs/a/memory.limit_in_bytes": "3000000000\n",
+        "memory/jobs/memory.limit_in_bytes": "2000000000\n",
+        "memory/memory.limit_in_bytes": "9223372036854771712\n",
+        "svc/memory.max": "max\n",
+        "memory.max": "5000000000\n",
+    }
+    for name, text in files.items():
+        (mount / name).parent.mkdir(parents=True, exist_ok=True)
+        (mount / name).write_text(text)
+    limits = list(cli._cgroup_memory_limits(proc, mount))
+    assert limits == [3_000_000_000, 2_000_000_000, 9223372036854771712, 5_000_000_000]
+    assert list(cli._cgroup_memory_limits(tmp_path / "absent", mount)) == []
+
+
+def test_table_budget_is_half_the_lower_of_physical_memory_and_cgroup_limit(monkeypatch):
+    physical = cli.os.sysconf("SC_PAGE_SIZE") * cli.os.sysconf("SC_PHYS_PAGES")
+    monkeypatch.setattr(cli, "_cgroup_memory_limits", lambda: iter([]))
+    assert cli.table_budget_bytes() == physical // 2
+    monkeypatch.setattr(cli, "_cgroup_memory_limits", lambda: iter([physical + 2, 1000]))
+    assert cli.table_budget_bytes() == 500
+
+
 def test_transform_roundtrip_constant(tmp_path, capsys):
     f_path = tmp_path / "f.json"
     _write_spectral(f_path, 0)
@@ -240,6 +300,23 @@ def test_diagnostics_builds_each_gram_once(tmp_path, monkeypatch):
     assert report == _diagnostics_report(tmp_path, monkeypatch, uncached, "fresh.json")
 
 
+def test_reference_diagnostics_builds_each_table_once(tmp_path, monkeypatch):
+    original = quadrature.basis_matrix
+    built = []
+
+    def counting(points, cutoff, validate=True):
+        built.append((points.tobytes(), cutoff))
+        return original(points, cutoff, validate=validate)
+
+    monkeypatch.setattr(quadrature, "basis_matrix", counting)
+    out = tmp_path / "ref.json"
+    assert cli.main(["diagnostics", "-j", "3", "--rules", "reference", "--out", str(out)]) == 0
+    # all four levels share one Gauss node set
+    assert len({points for points, _ in built}) == 1
+    assert len(built) == len(set(built)) >= 1
+    assert [row["exactness_degree"] for row in json.loads(out.read_text())["levels"]] == [7] * 4
+
+
 def test_diagnostics_tolerance_exit_code(tmp_path, capsys):
     # even the shipped bank cannot meet an impossible tolerance
     code = cli.main(
@@ -423,16 +500,20 @@ def _old_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+# repeated values, both signed zeros and a NaN, each formatted once
+_REPEATS = np.array([0.0, -0.0, np.nan, 0.1, -0.0, 0.1, 0.0, np.nan])
+
+
 def test_sample_masks_csv_bytes(tmp_path, monkeypatch):
-    highs = (lambda xi: -_SPECIAL, lambda xi: _SPECIAL[::-1])
+    highs = (lambda xi: -_SPECIAL, lambda xi: _SPECIAL[::-1], lambda xi: _REPEATS)
     fake = SimpleNamespace(low=lambda xi: _SPECIAL, highs=highs)
     monkeypatch.setattr(cli, "_load_bank", lambda name: fake)
     out = tmp_path / "masks.csv"
     grid = len(_SPECIAL)
     assert cli.main(["sample", "--kind", "masks", "--grid", str(grid), "--out", str(out)]) == 0
     xi = np.linspace(0.0, 0.5, grid)
-    columns = [xi, _SPECIAL, -_SPECIAL, _SPECIAL[::-1]]
-    want = _old_csv(["xi", "a_hat", "b1_hat", "b2_hat"], zip(*columns))
+    columns = [xi, _SPECIAL, -_SPECIAL, _SPECIAL[::-1], _REPEATS]
+    want = _old_csv(["xi", "a_hat", "b1_hat", "b2_hat", "b3_hat"], zip(*columns))
     assert out.read_text() == want
 
 

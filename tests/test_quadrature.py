@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from triframe.basis import DomainError, basis_eval, degree_cutoff, tri_dim
+from triframe.basis import DomainError, basis_eval, basis_matrix, degree_cutoff, tri_dim
 from triframe.quadrature import (
     QuadratureRule,
     exactness_degree,
@@ -139,6 +139,34 @@ def test_exactness_degree_centroid():
 
 def test_exactness_degree_kronecker():
     assert exactness_degree(kronecker_lattice(4), 1e-12) == 0
+
+
+def test_negative_weight_rule():
+    # the classic 4-point degree-3 rule: centroid weight -27/48, three 25/48
+    rule = QuadratureRule(
+        nodes=np.array([[1.0 / 3.0, 1.0 / 3.0], [0.2, 0.2], [0.6, 0.2], [0.2, 0.6]]),
+        weights=np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0,
+    )
+    assert exactness_degree(rule, 1e-12) == 3
+    table = basis_matrix(rule.nodes, 2, validate=False)
+    gram = gram_matrix(rule, 2).entries
+    assert_allclose(gram, table.T @ np.diag(rule.weights) @ table, rtol=0, atol=1e-14)
+    # exact to degree 3, so the degree-1 block is the identity
+    assert_allclose(gram[:3, :3], np.eye(3), rtol=0, atol=1e-14)
+    with pytest.raises(DomainError, match="positive weights"):
+        rule.weighted_basis(2)
+    assert rule._basis_cache == {}
+
+
+def test_with_level_shares_tables_and_grams():
+    rule = gauss_reference_rule(8)
+    levels = [rule.with_level(j) for j in range(3)]
+    table = levels[0].weighted_basis(4)
+    gram = gram_matrix(levels[1], 4).entries
+    for other in (levels[2], rule):
+        assert np.shares_memory(other.weighted_basis(4), table)
+    assert gram_matrix(levels[2], 4).entries is gram
+    assert [r.level for r in levels] == [0, 1, 2] and rule.level is None
 
 
 def test_gram_cutoff_zero():

@@ -576,3 +576,114 @@ def test_system_validation(bank):
     rules = [kronecker_lattice(0), kronecker_lattice(1).with_level(0)]
     with pytest.raises(ValueError):
         FrameletSystem(bank, rules)
+
+
+# -- synthesis batches: sequences of one step share one pass over their table --
+
+
+@pytest.fixture
+def synth_calls(monkeypatch):
+    """Records the coefficient vectors of every _synthesize call."""
+    from triframe import transform
+
+    calls = []
+    original = transform._synthesize
+
+    def counting(table, coeffs_list):
+        calls.append(list(coeffs_list))
+        return original(table, coeffs_list)
+
+    monkeypatch.setattr(transform, "_synthesize", counting)
+    return calls
+
+
+def _assert_own_memory(seqs):
+    # no member's values are a view into a buffer shared by the batch
+    assert all(seq.values.flags.owndata for seq in seqs)
+    for i, a in enumerate(seqs):
+        for b in seqs[i + 1 :]:
+            assert not np.shares_memory(a.values, b.values)
+
+
+def test_decompose_synthesizes_input_and_highs_in_one_batch(sys_k5, rng, synth_calls):
+    v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(5), rng), 5)
+    low, highs = decompose(sys_k5, v)
+    highs[0].values
+    assert len(synth_calls) == 1 and len(synth_calls[0]) == 1 + sys_k5.r
+    for seq in [v, *highs]:
+        assert seq._values is not None and seq._batch is None
+    assert low._values is None  # the low-pass output lives on another rule
+    for seq in [v, *highs]:
+        seq.values
+    assert len(synth_calls) == 1
+    _assert_own_memory([v, *highs])
+    for seq in [v, *highs]:
+        want = dft(seq.spectral, 5, seq.rule)
+        assert np.abs(seq.values - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_decompose_keeps_existing_values(sys_k5, rng, synth_calls):
+    v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(4), rng), 4)
+    before = v.values
+    _, highs = decompose(sys_k5, v)
+    highs[1].values
+    assert v.values is before
+    assert [len(c) for c in synth_calls] == [1, sys_k5.r]
+
+
+def test_multilevel_decompose_batches_only_the_top_input(sys_k5, rng, synth_calls):
+    v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(5), rng), 5)
+    tree = multilevel_decompose(sys_k5, v)
+    for highs in tree.details:
+        highs[0].values
+    # one batch per level; only the top one holds the input besides its highs
+    assert [len(c) for c in synth_calls] == [sys_k5.r] * 4 + [1 + sys_k5.r]
+    assert v._values is not None
+
+
+def test_decompose_can_leave_its_input_out_of_the_batch(sys_k5, rng, synth_calls):
+    v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(4), rng), 4)
+    _, highs = decompose(sys_k5, v, batch_input=False)
+    highs[0].values
+    assert [len(c) for c in synth_calls] == [sys_k5.r]
+    assert v._values is None and v._batch is None
+
+
+def test_batch_with_mixed_cutoffs_matches_one_member_synthesis(sys_k5, rng, synth_calls):
+    from triframe.transform import _share_batch
+
+    rule = sys_k5.rule(4)
+    seqs = [
+        CoefficientSequence(rule, random_spectral(cut, rng)) for cut in (2, 7, 0, 5)
+    ]
+    _share_batch(seqs)
+    seqs[2].values
+    assert len(synth_calls) == 1 and len(synth_calls[0]) == len(seqs)
+    _assert_own_memory(seqs)
+    for seq in seqs:
+        want = dft(seq.spectral, 4, rule)
+        assert np.abs(seq.values - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_analyze_synthesizes_highs_in_one_batch(sys_k5, rng, synth_calls):
+    f = random_spectral(degree_cutoff(4), rng)
+    low, highs = analyze(sys_k5, f, 3)
+    highs[-1].values
+    assert len(synth_calls) == 1 and len(synth_calls[0]) == sys_k5.r
+    assert all(h._values is not None for h in highs) and low._values is None
+    _assert_own_memory(highs)
+
+
+def test_bit_reproducible_batch_sums_each_member_alone(sys_k5, rng):
+    from triframe.transform import _share_batch
+
+    rule = sys_k5.rule(4)
+    specs = [random_spectral(cut, rng) for cut in (7, 3)]
+    try:
+        set_bit_reproducible(True)
+        seqs = [CoefficientSequence(rule, s) for s in specs]
+        _share_batch(seqs)
+        for seq, spec in zip(seqs, specs):
+            assert np.array_equal(seq.values, dft(spec, 4, rule))
+    finally:
+        set_bit_reproducible(False)
