@@ -64,7 +64,6 @@ from .transform import (
     reconstruct,
     reference_system,
     relative_difference,
-    set_bit_reproducible,
     triangle_grid,
     upsample,
 )

@@ -48,14 +48,6 @@ def linear_index(ell: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def index_list(cutoff: int) -> tuple[BasisIndex, ...]:
-    """All (ell, m) pairs with ell <= cutoff, in linear-index order."""
-    return tuple(
-        BasisIndex(ell, m) for ell in range(cutoff + 1) for m in range(ell + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def degree_vector(cutoff: int) -> np.ndarray:
     """Degree ell of every linear index up to the cutoff (read-only)."""
     out = np.repeat(np.arange(cutoff + 1), np.arange(1, cutoff + 2))

@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -129,35 +129,6 @@ Draft202012Validator = validators.extend(
 )
 
 
-@dataclass
-class JobConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    level: int = 4
-    generator: tuple = quadrature.DEFAULT_GENERATOR
-    shift: tuple = quadrature.DEFAULT_SHIFT
-    strategy: str = "fold"
-    bank_name: str = filters.DEFAULT_BANK_NAME
-    mode: str | None = None
-    rules_family: str = "kronecker"
-    kind: str | None = None
-    node: int = 0
-    grid: int = 256
-    tol: float = 1e-12
-    bit_repro: bool = False
-    input_path: str | None = None
-    out_path: str | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.level <= MAX_LEVEL:
-            raise ValidationError(f"level must lie in 0..{MAX_LEVEL}")
-        if not 2 <= self.grid <= MAX_GRID:
-            raise ValidationError(f"grid resolution must lie in 2..{MAX_GRID}")
-        if self.tol <= 0:
-            raise ValidationError("tolerance must be positive")
-
-
 def _cgroup_memory_limits(
     proc: Path = Path("/proc/self/cgroup"), mount: Path = Path("/sys/fs/cgroup")
 ):
@@ -208,9 +179,9 @@ def data_dir() -> Path:
     return Path(os.environ.get("FRAMELET_DATA_DIR", "."))
 
 
-def _resolve_out(cfg: JobConfig, default_name: str) -> Path:
-    if cfg.out_path is not None:
-        return Path(cfg.out_path)
+def _resolve_out(out: str | None, default_name: str) -> Path:
+    if out is not None:
+        return Path(out)
     return data_dir() / default_name
 
 
@@ -229,8 +200,9 @@ def _atomic_write(path: Path, chunks) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    # no indent: indentation forces CPython's pure-Python encoder
-    _atomic_write(path, (json.dumps(doc), "\n"))
+    # no indent: indentation forces CPython's pure-Python encoder; NaN and
+    # Infinity are refused, so no artifact holds them
+    _atomic_write(path, (json.dumps(doc, allow_nan=False), "\n"))
 
 
 def _formatted(column, end: str) -> np.ndarray:
@@ -271,25 +243,21 @@ def _load_bank(name: str) -> filters.FilterBank:
     raise ValidationError(f"unknown bank {name!r} (not the shipped name or a file)")
 
 
-def _build_system(cfg: JobConfig, levels: int) -> transform.FrameletSystem:
-    bank = _load_bank(cfg.bank_name)
-    if cfg.rules_family == "reference":
+def _build_system(args, levels: int, rules: str = "kronecker") -> transform.FrameletSystem:
+    bank = _load_bank(args.bank)
+    if rules == "reference":
         return transform.reference_system(bank, levels)
-    return transform.kronecker_system(
-        bank, levels, cfg.generator, cfg.shift, cfg.strategy
-    )
+    return transform.kronecker_system(bank, levels, args.generator, args.shift, args.strategy)
 
 
-def cmd_gen_lattice(cfg: JobConfig) -> int:
-    _check_table_budget(cfg.level)
-    rule = quadrature.kronecker_lattice(
-        cfg.level, cfg.generator, cfg.shift, cfg.strategy
-    )
+def cmd_gen_lattice(args: argparse.Namespace) -> int:
+    _check_table_budget(args.level)
+    rule = quadrature.kronecker_lattice(args.level, args.generator, args.shift, args.strategy)
     doc = quadrature.rule_to_dict(rule)
     Draft202012Validator(RULE_SCHEMA).validate(doc)
-    out = _resolve_out(cfg, f"lattice_j{cfg.level}.json")
+    out = _resolve_out(args.out, f"lattice_j{args.level}.json")
     _write_json(out, doc)
-    cutoff = basis.degree_cutoff(cfg.level)
+    cutoff = basis.degree_cutoff(args.level)
     deviation = quadrature.gram_matrix(rule, cutoff).max_deviation_from_identity()
     print(f"nodes: {rule.size}")
     print(f"gram deviation at cutoff {cutoff}: {deviation:.6e}")
@@ -313,49 +281,52 @@ def _spectral_from_doc(doc: dict, levels: int) -> basis.SpectralVector:
     return basis.SpectralVector(cutoff, coeffs)
 
 
-def cmd_transform(cfg: JobConfig) -> int:
-    _check_table_budget(cfg.level)
-    transform.set_bit_reproducible(cfg.bit_repro)
-    doc = _load_json(cfg.input_path)
-    sys_ = _build_system(cfg, cfg.level)
-    if cfg.mode in ("decompose", "roundtrip"):
-        f = _spectral_from_doc(doc, cfg.level)
-        top = transform.analyze_lowpass(sys_, f, cfg.level)
+def cmd_transform(args: argparse.Namespace) -> int:
+    _check_table_budget(args.level)
+    doc = _load_json(args.input)
+    sys_ = _build_system(args, args.level)
+    if args.mode in ("decompose", "roundtrip"):
+        f = _spectral_from_doc(doc, args.level)
+        top = transform.analyze_lowpass(sys_, f, args.level)
         tree = transform.multilevel_decompose(sys_, top)
-        out = _resolve_out(cfg, f"tree_J{cfg.level}.json")
-        _write_json(out, transform.tree_to_dict(tree))
+        out = _resolve_out(args.out, f"tree_J{args.level}.json")
+        _write_json(out, transform.tree_to_dict(tree, fixed_order=args.bit_repro))
         print(f"coefficients: {tree.coefficient_count()}")
         print(f"wrote {out}")
-        if cfg.mode == "roundtrip":
+        if args.mode == "roundtrip":
             recon = transform.multilevel_reconstruct(sys_, tree)
-            residual = transform.relative_difference(top, recon)
+            residual = transform.relative_difference(top, recon, fixed_order=args.bit_repro)
             print(f"round-trip residual: {residual:.3e}")
-    elif cfg.mode == "reconstruct":
+    else:
         Draft202012Validator(TREE_SCHEMA).validate(doc)
         tree = transform.tree_from_dict(doc, sys_)
         recon = transform.multilevel_reconstruct(sys_, tree)
-        out = _resolve_out(cfg, f"coefficients_j{recon.level}.json")
-        _write_json(out, transform.sequence_to_dict(recon, channel="low"))
+        out = _resolve_out(args.out, f"coefficients_j{recon.level}.json")
+        _write_json(
+            out, transform.sequence_to_dict(recon, channel="low", fixed_order=args.bit_repro)
+        )
         print(f"reconstructed level {recon.level} ({len(recon)} coefficients)")
         print(f"wrote {out}")
-    else:
-        raise ValidationError("transform needs --decompose, --reconstruct or --roundtrip")
     return EXIT_OK
 
 
-def cmd_diagnostics(cfg: JobConfig) -> int:
-    if cfg.level < 1:
+def cmd_diagnostics(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.tol):
+        raise ValidationError("tolerance must be finite")
+    if args.tol <= 0:
+        raise ValidationError("tolerance must be positive")
+    if args.level < 1:
         raise ValidationError("diagnostics needs level >= 1")
-    _check_table_budget(cfg.level)
-    bank = _load_bank(cfg.bank_name)
+    _check_table_budget(args.level)
+    bank = _load_bank(args.bank)
     grid = np.linspace(0.0, 0.5, 10001)
     partition = filters.check_partition(bank, grid)
     refinement = filters.check_refinement(bank, grid)
-    sys_ = _build_system(cfg, cfg.level)
+    sys_ = _build_system(args, args.level, args.rules)
 
     levels = []
-    cap = 2 * basis.degree_cutoff(cfg.level) + 2
-    for j in range(cfg.level + 1):
+    cap = 2 * basis.degree_cutoff(args.level) + 2
+    for j in range(args.level + 1):
         rule = sys_.rule(j)
         cutoff = basis.degree_cutoff(j)
         levels.append(
@@ -366,7 +337,7 @@ def cmd_diagnostics(cfg: JobConfig) -> int:
                     rule, cutoff
                 ).max_deviation_from_identity(),
                 "exactness_degree": quadrature.exactness_degree(
-                    rule, cfg.tol, max_degree=cap
+                    rule, args.tol, max_degree=cap
                 ),
             }
         )
@@ -377,21 +348,21 @@ def cmd_diagnostics(cfg: JobConfig) -> int:
                 sys_.rule(j - 1), sys_.rule(j), bank, j, basis.degree_cutoff(j)
             ),
         }
-        for j in range(1, cfg.level + 1)
+        for j in range(1, args.level + 1)
     ]
-    band = basis.degree_cutoff(cfg.level - 1)
+    band = basis.degree_cutoff(args.level - 1)
     rng = np.random.default_rng(0)
     f = basis.SpectralVector(
         band,
         rng.standard_normal(basis.tri_dim(band))
         + 1j * rng.standard_normal(basis.tri_dim(band)),
     )
-    parseval = transform.parseval_report(sys_, f, cfg.level)
+    parseval = transform.parseval_report(sys_, f, args.level)
 
     report = {
         "bank": bank.name,
-        "rules": cfg.rules_family,
-        "tolerance": cfg.tol,
+        "rules": args.rules,
+        "tolerance": args.tol,
         "partition_residual": partition,
         "refinement_residual": refinement,
         "levels": levels,
@@ -408,7 +379,7 @@ def cmd_diagnostics(cfg: JobConfig) -> int:
             " scaling is not reproduced",
         ],
     }
-    out = _resolve_out(cfg, f"diagnostics_J{cfg.level}.json")
+    out = _resolve_out(args.out, f"diagnostics_J{args.level}.json")
     _write_json(out, report)
 
     print(f"bank {bank.name}: partition residual {partition:.3e}, "
@@ -423,42 +394,42 @@ def cmd_diagnostics(cfg: JobConfig) -> int:
     print(f"parseval top residual: {report['parseval']['top_residual']:.3e}")
     print(f"wrote {out}")
 
-    if partition > cfg.tol or refinement > cfg.tol:
+    if partition > args.tol or refinement > args.tol:
         raise ToleranceFailure(
-            f"mask identities exceed tolerance {cfg.tol:.1e} "
+            f"mask identities exceed tolerance {args.tol:.1e} "
             f"(partition {partition:.3e}, refinement {refinement:.3e})"
         )
     return EXIT_OK
 
 
-def cmd_sample(cfg: JobConfig) -> int:
-    if cfg.kind == "masks":
-        bank = _load_bank(cfg.bank_name)
-        xi = np.linspace(0.0, 0.5, cfg.grid)
+def cmd_sample(args: argparse.Namespace) -> int:
+    if not 2 <= args.grid <= MAX_GRID:
+        raise ValidationError(f"grid resolution must lie in 2..{MAX_GRID}")
+    if args.kind == "masks":
+        bank = _load_bank(args.bank)
+        xi = np.linspace(0.0, 0.5, args.grid)
         columns = [xi, bank.low(xi)]
         header = ["xi", "a_hat"]
         for n, high in enumerate(bank.highs, start=1):
             columns.append(high(xi))
             header.append(f"b{n}_hat")
-        out = _resolve_out(cfg, f"masks_{cfg.grid}.csv")
+        out = _resolve_out(args.out, f"masks_{args.grid}.csv")
         _write_csv(out, header, columns)
         print(f"wrote {out}")
         return EXIT_OK
 
-    if cfg.kind == "low":
+    if args.kind == "low":
         kind, n = "low", 1
-        levels = cfg.level
-    elif cfg.kind in ("high1", "high2"):
-        kind, n = "high", int(cfg.kind[-1])
-        levels = cfg.level + 1
+        levels = args.level
     else:
-        raise ValidationError(f"unknown sample kind {cfg.kind!r}")
+        kind, n = "high", int(args.kind[-1])
+        levels = args.level + 1
     if levels > MAX_LEVEL:
         raise ValidationError("sampling a high-pass at the top level exceeds the level guard")
-    sys_ = _build_system(cfg, levels)
-    pts = transform.triangle_grid(cfg.grid)
-    values = transform.framelet_values(sys_, kind, cfg.level, cfg.node, pts, n=n)
-    out = _resolve_out(cfg, f"framelet_{cfg.kind}_j{cfg.level}_k{cfg.node}.csv")
+    sys_ = _build_system(args, levels)
+    pts = transform.triangle_grid(args.grid)
+    values = transform.framelet_values(sys_, kind, args.level, args.node, pts, n=n)
+    out = _resolve_out(args.out, f"framelet_{args.kind}_j{args.level}_k{args.node}.csv")
     _write_csv(out, ["x1", "x2", "value"], (pts[:, 0], pts[:, 1], values))
     print(f"wrote {out}")
     return EXIT_OK
@@ -500,7 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--level", "-j", type=int, required=True, help="top level J")
     p_tr.add_argument("--input", required=True, help="spectral vector or tree JSON")
     p_tr.add_argument("--bank", default=filters.DEFAULT_BANK_NAME)
-    p_tr.add_argument("--bit-repro", action="store_true")
+    p_tr.add_argument(
+        "--bit-repro", action="store_true",
+        help="sum written point values in a fixed order: same bytes under any BLAS threading",
+    )
     _add_lattice_args(p_tr)
     p_tr.add_argument("--out", default=None)
 
@@ -526,26 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    return JobConfig(
-        command=args.command,
-        level=getattr(args, "level", 4),
-        generator=tuple(getattr(args, "generator", quadrature.DEFAULT_GENERATOR)),
-        shift=tuple(getattr(args, "shift", quadrature.DEFAULT_SHIFT)),
-        strategy=getattr(args, "strategy", "fold"),
-        bank_name=getattr(args, "bank", filters.DEFAULT_BANK_NAME),
-        mode=getattr(args, "mode", None),
-        rules_family=getattr(args, "rules", "kronecker"),
-        kind=getattr(args, "kind", None),
-        node=getattr(args, "node", 0),
-        grid=getattr(args, "grid", 256),
-        tol=getattr(args, "tol", 1e-12),
-        bit_repro=getattr(args, "bit_repro", False),
-        input_path=getattr(args, "input", None),
-        out_path=getattr(args, "out", None),
-    )
-
-
 _COMMANDS = {
     "gen-lattice": cmd_gen_lattice,
     "transform": cmd_transform,
@@ -557,8 +511,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        if not 0 <= args.level <= MAX_LEVEL:
+            raise ValidationError(f"level must lie in 0..{MAX_LEVEL}")
+        return _COMMANDS[args.command](args)
     except ToleranceFailure as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE

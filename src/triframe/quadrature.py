@@ -68,15 +68,18 @@ class QuadratureRule:
             raise ValueError("nodes must have shape (N, 2)")
         if self.weights.shape != (self.nodes.shape[0],):
             raise ValueError("weights must match nodes in length")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
         if np.any(self.weights == 0.0):
             raise ValueError("weights must be nonzero")
-        bad = (
-            (self.nodes[:, 0] < -SIMPLEX_TOL)
-            | (self.nodes[:, 1] < -SIMPLEX_TOL)
-            | (self.nodes.sum(axis=1) > 1.0 + SIMPLEX_TOL)
+        # written as "not inside", so a NaN coordinate is refused too
+        inside = (
+            (self.nodes[:, 0] >= -SIMPLEX_TOL)
+            & (self.nodes[:, 1] >= -SIMPLEX_TOL)
+            & (self.nodes.sum(axis=1) <= 1.0 + SIMPLEX_TOL)
         )
-        if bad.any():
-            raise DomainError(f"{int(bad.sum())} node(s) outside the simplex")
+        if not inside.all():
+            raise DomainError(f"{int((~inside).sum())} node(s) outside the simplex")
         if self.kind == KIND_KRONECKER:
             if self.level is None:
                 raise ValueError("lattice rules carry a level")
@@ -145,6 +148,8 @@ def kronecker_lattice(
     Deterministic (bit-identical) for fixed parameters.
     """
     n = lattice_size(j)
+    if not np.isfinite(np.asarray([generator, shift], dtype=float)).all():
+        raise ValueError("lattice generator and shift must be finite")
     if strategy == "fold":
         pts = _unit_square_stream(generator, shift, n)
         over = pts.sum(axis=1) > 1.0
@@ -226,8 +231,8 @@ def exactness_degree(rule: QuadratureRule, tol: float, max_degree: int = 60) -> 
     on the orthonormal basis is equivalent to exactness on polynomials.  The
     search grows the tested cutoff geometrically so inexact rules exit early.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     positive = bool(np.all(rule.weights > 0.0))
     cap = max_degree + 1
     cutoff = min(8, cap)

@@ -33,18 +33,6 @@ from .quadrature import KIND_KRONECKER, QuadratureRule, lattice_size
 PARTITION_TOL = 1e-12
 _PARTITION_GRID = np.linspace(0.0, 0.5, 2049)
 
-_bit_reproducible = False
-
-
-def set_bit_reproducible(flag: bool) -> None:
-    """Route synthesis sums through a fixed association order.
-
-    Slower, but makes repeated runs bit-identical independently of the BLAS
-    threading behind matrix products.
-    """
-    global _bit_reproducible
-    _bit_reproducible = bool(flag)
-
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """A new complex array from its parts, without re + 1j * im temporaries."""
@@ -62,8 +50,6 @@ def _synthesize(table: np.ndarray, coeffs_list: Sequence[np.ndarray]) -> list:
     and imaginary parts, zero-padded to dim, are the rows of one product with
     the contiguous (dim, N) array behind the view.
     """
-    if _bit_reproducible:
-        return [(table[:, : c.size] * c[None, :]).sum(axis=1) for c in coeffs_list]
     rows = np.zeros((2 * len(coeffs_list), table.shape[1]))
     for i, c in enumerate(coeffs_list):
         rows[2 * i, : c.size] = c.real
@@ -73,8 +59,6 @@ def _synthesize(table: np.ndarray, coeffs_list: Sequence[np.ndarray]) -> list:
 
 
 def _adjoint_apply(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    if _bit_reproducible:
-        return (np.conj(table) * values[:, None]).sum(axis=0)
     # both parts in one pass over the table
     re, im = np.stack((values.real, values.imag)) @ table
     return _complex(re, im)
@@ -130,6 +114,20 @@ def _share_batch(seqs: Sequence[CoefficientSequence]) -> None:
     batch = [seq for seq in seqs if seq._values is None]
     for seq in batch:
         seq._batch = batch
+
+
+def _point_values(seq: CoefficientSequence, fixed_order: bool) -> np.ndarray:
+    """seq.values, or with fixed_order the same sum taken one basis row at a
+    time in index order: the same bits under any BLAS threading, and no
+    (N, dim) temporary.  It reads the table of the sequence's batch."""
+    if not fixed_order:
+        return seq.values
+    cutoff = max(s.spectral.cutoff for s in seq._batch or [seq])
+    table = seq.rule.weighted_basis(cutoff)
+    out = np.zeros(seq.rule.size, dtype=complex)
+    for row, c in zip(table.T, seq.spectral.coeffs):
+        out += row * c
+    return out
 
 
 @dataclass
@@ -476,24 +474,23 @@ def triangle_grid(resolution: int) -> np.ndarray:
     return pts[pts.sum(axis=1) <= 1.0]
 
 
-def relative_difference(a: CoefficientSequence, b: CoefficientSequence) -> float:
+def relative_difference(
+    a: CoefficientSequence, b: CoefficientSequence, *, fixed_order: bool = False
+) -> float:
     """Max of spectral and point-value deviations, relative to the larger norm."""
     cut = max(a.spectral.cutoff, b.spectral.cutoff)
     sa = a.spectral.resized(cut).coeffs
     sb = b.spectral.resized(cut).coeffs
+    va, vb = (_point_values(s, fixed_order) for s in (a, b))
     scale = max(
         np.abs(sa).max(initial=0.0),
         np.abs(sb).max(initial=0.0),
-        np.abs(a.values).max(initial=0.0),
-        np.abs(b.values).max(initial=0.0),
+        np.abs(va).max(initial=0.0),
+        np.abs(vb).max(initial=0.0),
         np.finfo(float).tiny,
     )
     spectral_err = np.abs(sa - sb).max(initial=0.0)
-    value_err = (
-        np.abs(a.values - b.values).max(initial=0.0)
-        if a.values.shape == b.values.shape
-        else np.inf
-    )
+    value_err = np.abs(va - vb).max(initial=0.0) if va.shape == vb.shape else np.inf
     return float(max(spectral_err, value_err) / scale)
 
 
@@ -518,12 +515,15 @@ def _rule_ref(rule: QuadratureRule) -> str:
     return f"{rule.kind}/{rule.level}"
 
 
-def sequence_to_dict(seq: CoefficientSequence, channel: str = "low", j: int | None = None, n: int | None = None) -> dict:
+def sequence_to_dict(
+    seq: CoefficientSequence, channel: str = "low", j: int | None = None,
+    n: int | None = None, *, fixed_order: bool = False,
+) -> dict:
     doc = {
         "channel": channel,
         "j": seq.level if j is None else j,
         "rule_ref": _rule_ref(seq.rule),
-        "v": _complex_pairs(seq.values),
+        "v": _complex_pairs(_point_values(seq, fixed_order)),
         "spectral": {
             "cutoff": seq.spectral.cutoff,
             "coeffs": _complex_pairs(seq.spectral.coeffs),
@@ -543,11 +543,11 @@ def sequence_from_dict(doc: dict, sys: FrameletSystem) -> CoefficientSequence:
     return CoefficientSequence(rule, spectral, _pairs_to_array(doc["v"]))
 
 
-def tree_to_dict(tree: FrameletTree) -> dict:
-    levels = [sequence_to_dict(tree.base, channel="low", j=0)]
+def tree_to_dict(tree: FrameletTree, *, fixed_order: bool = False) -> dict:
+    levels = [sequence_to_dict(tree.base, "low", 0, fixed_order=fixed_order)]
     for j, highs in enumerate(tree.details):
         for n, seq in enumerate(highs, start=1):
-            levels.append(sequence_to_dict(seq, channel="high", j=j, n=n))
+            levels.append(sequence_to_dict(seq, "high", j, n, fixed_order=fixed_order))
     return {"J": tree.J, "r": tree.r, "levels": levels}
 
 

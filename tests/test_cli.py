@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -376,6 +378,123 @@ def test_sample_grid_guard(tmp_path, capsys):
         ["sample", "--kind", "masks", "--grid", "4096", "--out", str(tmp_path / "m.csv")]
     )
     assert code == 2
+
+
+# -- range checks: exit 2, one stderr line, no output file --------------------
+
+_COMMAND_ARGV = {
+    "gen-lattice": ["gen-lattice"],
+    "transform": ["transform", "--roundtrip"],
+    "diagnostics": ["diagnostics"],
+    "sample": ["sample", "--kind", "low"],
+}
+
+
+def _refused(tmp_path, capsys, argv, message):
+    """Run argv with an --out path; check exit 2, the stderr line and no output."""
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, 0)
+    out = tmp_path / "out.file"
+    argv = [str(f_path) if arg == "{input}" else arg for arg in argv]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["-1", "9"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
+def test_level_outside_range_is_refused(tmp_path, capsys, command, level):
+    argv = [*_COMMAND_ARGV[command], "--level", level]
+    if command == "transform":
+        argv += ["--input", "{input}"]
+    _refused(tmp_path, capsys, argv, "validation error: level must lie in 0..8")
+
+
+@pytest.mark.parametrize("grid", ["1", "2049"])
+@pytest.mark.parametrize("kind", ["masks", "low"])
+def test_grid_outside_range_is_refused(tmp_path, capsys, kind, grid):
+    _refused(
+        tmp_path, capsys, ["sample", "--kind", kind, "--grid", grid],
+        "validation error: grid resolution must lie in 2..2048",
+    )
+
+
+def test_zero_tolerance_is_refused(tmp_path, capsys):
+    _refused(
+        tmp_path, capsys, ["diagnostics", "-j", "1", "--tol", "0"],
+        "validation error: tolerance must be positive",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-lattice", "-j", "2", "--shift", "nan", "0"],
+         "error: lattice generator and shift must be finite"),
+        (["gen-lattice", "-j", "2", "--generator", "inf", "0.5"],
+         "error: lattice generator and shift must be finite"),
+        (["sample", "--kind", "low", "-j", "2", "--grid", "8", "--shift", "nan", "0"],
+         "error: lattice generator and shift must be finite"),
+        (["diagnostics", "-j", "1", "--tol", "nan"],
+         "validation error: tolerance must be finite"),
+        (["diagnostics", "-j", "1", "--tol", "inf"],
+         "validation error: tolerance must be finite"),
+    ],
+)
+def test_non_finite_option_is_refused(tmp_path, capsys, argv, message):
+    _refused(tmp_path, capsys, argv, message)
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    out = tmp_path / "doc.json"
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(out, {"x": [1.0, bad]})
+        assert list(tmp_path.iterdir()) == []
+
+
+_BANK_DOC = bank_to_dict(dataclasses.replace(default_bank(), name="x"))
+
+
+@pytest.mark.parametrize(
+    "bank, message",
+    [
+        ({"name": "x", "low": {}}, "error: bank field highs is missing"),
+        ({**_BANK_DOC, "low": {}}, "error: bank field low.pieces is missing"),
+        ({**_BANK_DOC, "low": {**_BANK_DOC["low"], "pieces": 3}},
+         "error: bank field low.pieces must be an array"),
+    ],
+)
+def test_malformed_bank_file_is_refused(tmp_path, capsys, bank, message):
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(bank))
+    out = tmp_path / "masks.csv"
+    argv = ["sample", "--kind", "masks", "--grid", "8", "--bank", str(bank_path)]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{message}\n"
+    assert not out.exists()
+
+
+def test_bit_repro_output_does_not_depend_on_blas_threads(tmp_path, rng):
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, degree_cutoff(6), rng)
+    trees, residuals = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"tree_{threads}.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "triframe.cli", "transform", "--roundtrip", "-j", "6",
+             "--input", str(f_path), "--out", str(out), "--bit-repro"],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert result.returncode == 0, result.stderr
+        trees.append(out.read_bytes())
+        residuals.append(result.stdout.splitlines()[-1])
+    assert trees[0] == trees[1]
+    assert residuals[0] == residuals[1] and residuals[0].startswith("round-trip residual")
 
 
 def test_custom_bank_file(tmp_path):

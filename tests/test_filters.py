@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -194,3 +195,38 @@ def test_empty_grid_rejected(bank):
         check_partition(bank, [])
     with pytest.raises(ValueError):
         check_refinement(bank, [])
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["low", "pieces"], None, "low.pieces is missing"),
+        (["low", "pieces"], 3, "low.pieces must be an array"),
+        (["highs"], {}, "highs must be an array"),
+        (["highs", 1], 7, r"highs\[1\] must be an object"),
+        (["scaling_highs", 0, "pieces", 0, "lo"], "0",
+         r"scaling_highs\[0\].pieces\[0\].lo must be a finite number"),
+        (["scaling_low", "support", 1], 10**400,
+         r"scaling_low.support\[1\] must be a finite number"),
+        (["scaling_low", "support"], [0.0], "scaling_low.support must hold two numbers"),
+        (["low", "half_period"], 1, "low.half_period must be a boolean"),
+        (["highs", 0, "pieces", 1, "kind"], None, r"highs\[0\].pieces\[1\].kind is missing"),
+        (["name"], 5, "name must be a string"),
+    ],
+)
+def test_malformed_bank_document_names_the_field(bank, path, value, message):
+    doc = bank_to_dict(dataclasses.replace(bank, name="x"))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^bank field {message}$"):
+        bank_from_dict(doc)
+
+
+def test_bank_document_must_be_an_object():
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        bank_from_dict([1, 2])

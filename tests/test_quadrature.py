@@ -262,3 +262,33 @@ def test_weighted_basis_cache_slices():
     assert np.shares_memory(part, full) and part.T.flags.c_contiguous
     expected = math.sqrt(rule.weights[0]) * basis_eval((2, 1), rule.nodes[0])
     assert_allclose(full[0, 4], expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "generator, shift",
+    [
+        ((math.nan, 0.5), (0.0, 0.0)),
+        ((math.inf, 0.5), (0.0, 0.0)),
+        ((0.4, 0.6), (0.0, -math.inf)),
+    ],
+)
+def test_kronecker_lattice_refuses_non_finite_parameters(generator, shift):
+    for strategy in ("fold", "intersect"):
+        with pytest.raises(ValueError, match="must be finite"):
+            kronecker_lattice(2, generator, shift, strategy)
+
+
+def test_rule_refuses_non_finite_nodes_and_weights():
+    nodes = np.array([[0.2, 0.2], [0.1, 0.3]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="1 node"):
+            QuadratureRule(np.array([[0.2, 0.2], [bad, 0.3]]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            QuadratureRule(nodes, np.array([0.5, bad]))
+
+
+def test_exactness_tolerance_must_be_finite_and_positive():
+    rule = gauss_reference_rule(4)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            exactness_degree(rule, tol)

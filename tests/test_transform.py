@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_spectral
@@ -44,7 +46,6 @@ from triframe.transform import (
     relative_difference,
     sequence_to_dict,
     sequence_from_dict,
-    set_bit_reproducible,
     tree_from_dict,
     tree_to_dict,
     triangle_grid,
@@ -557,15 +558,17 @@ def test_complex_pairs_match_float_loop(rng):
         assert all(type(x) is float for pair in got for x in pair)
 
 
+def _written_values(seq):
+    """The point values sequence_to_dict(fixed_order=True) writes for seq."""
+    pairs = np.asarray(sequence_to_dict(seq, fixed_order=True)["v"])
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
 def test_bit_reproducible_mode(sys_k5, rng):
     f = random_spectral(degree_cutoff(4), rng)
-    try:
-        set_bit_reproducible(True)
-        a = analyze_lowpass(sys_k5, f, 4).values
-        b = analyze_lowpass(sys_k5, f, 4).values
-        assert np.array_equal(a, b)
-    finally:
-        set_bit_reproducible(False)
+    a = _written_values(analyze_lowpass(sys_k5, f, 4))
+    b = _written_values(analyze_lowpass(sys_k5, f, 4))
+    assert np.array_equal(a, b)
     c = analyze_lowpass(sys_k5, f, 4).values
     assert np.abs(a - c).max() <= 1e-12 * np.abs(c).max()
 
@@ -679,11 +682,53 @@ def test_bit_reproducible_batch_sums_each_member_alone(sys_k5, rng):
 
     rule = sys_k5.rule(4)
     specs = [random_spectral(cut, rng) for cut in (7, 3)]
+    seqs = [CoefficientSequence(rule, s) for s in specs]
+    _share_batch(seqs)
+    for seq, spec in zip(seqs, specs):
+        # alone, on a fresh rule whose table is built at the member's own cutoff
+        alone = CoefficientSequence(kronecker_lattice(4), spec)
+        assert np.array_equal(_written_values(seq), _written_values(alone))
+
+
+def test_fixed_order_sum_holds_no_table_sized_temporary(rng):
+    import tracemalloc
+
+    from triframe.transform import _point_values
+
+    rule = kronecker_lattice(6)
+    seq = CoefficientSequence(rule, random_spectral(degree_cutoff(6), rng))
+    want = seq.values  # builds and caches the table outside the traced call
+    tracemalloc.start()
     try:
-        set_bit_reproducible(True)
-        seqs = [CoefficientSequence(rule, s) for s in specs]
-        _share_batch(seqs)
-        for seq, spec in zip(seqs, specs):
-            assert np.array_equal(seq.values, dft(spec, 4, rule))
+        got = _point_values(seq, fixed_order=True)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        set_bit_reproducible(False)
+        tracemalloc.stop()
+    # the (N, dim) complex product would take 4097 * 528 * 16 B = 34.6 MB
+    assert peak < 1_000_000
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    J=st.integers(1, 4),
+    cutoff_share=st.floats(0.0, 1.0),
+    generator=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+    shift=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+    strategy=st.sampled_from(["fold", "intersect"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multilevel_round_trip_property(
+    bank, J, cutoff_share, generator, shift, strategy, seed
+):
+    try:
+        sys_ = kronecker_system(bank, J, generator, shift, strategy)
+    except ValueError as exc:
+        # a degenerate generator can leave too few lattice points in the triangle
+        assert "intersect strategy found only" in str(exc)
+        reject()
+    cutoff = round(cutoff_share * degree_cutoff(J))
+    f = random_spectral(cutoff, np.random.default_rng(seed))
+    top = analyze_lowpass(sys_, f, J)
+    recon = multilevel_reconstruct(sys_, multilevel_decompose(sys_, top))
+    assert relative_difference(top, recon) <= 1e-12
