@@ -10,7 +10,6 @@ Library layout:
 """
 
 from .basis import (
-    BasisIndex,
     DomainError,
     SpectralVector,
     basis_eval,

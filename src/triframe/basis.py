@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -24,13 +24,6 @@ _CORNER_EPS = 1e-14
 
 class DomainError(ValueError):
     """Argument outside the domain an operation is defined on."""
-
-
-class BasisIndex(NamedTuple):
-    """Degree/order pair with 0 <= m <= ell."""
-
-    ell: int
-    m: int
 
 
 def tri_dim(cutoff: int) -> int:
@@ -48,17 +41,9 @@ def linear_index(ell: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def degree_vector(cutoff: int) -> np.ndarray:
-    """Degree ell of every linear index up to the cutoff (read-only)."""
-    out = np.repeat(np.arange(cutoff + 1), np.arange(1, cutoff + 2))
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
 def lambda_vector(cutoff: int) -> np.ndarray:
     """Eigenvalue sqrt(ell*(ell+2)) of every linear index (read-only)."""
-    ells = degree_vector(cutoff).astype(float)
+    ells = np.repeat(np.arange(cutoff + 1.0), np.arange(1, cutoff + 2))
     out = np.sqrt(ells * (ells + 2.0))
     out.flags.writeable = False
     return out
@@ -174,27 +159,6 @@ def _checked_points(points, validate: bool) -> np.ndarray:
     return pts
 
 
-def _angular_factors(pts: np.ndarray, cutoff: int):
-    """Yield (m, P_m(ratio) * (1-x1)^m) for m = 0..cutoff: the angular
-    factor shared by every order-m basis member."""
-    x1 = pts[:, 0]
-    omx = 1.0 - x1
-    degenerate = omx < _CORNER_EPS
-    ratio = 2.0 * pts[:, 1] / np.where(degenerate, 1.0, omx) - 1.0
-    n = pts.shape[0]
-    leg0 = np.zeros(n)
-    leg1 = np.ones(n)  # Legendre P_m(ratio), m running
-    weight = np.ones(n)  # (1-x1)^m, exactly zero at the corner for m >= 1
-    for m in range(cutoff + 1):
-        if m == 1:
-            leg1, leg0 = ratio.copy(), leg1
-            weight = np.where(degenerate, 0.0, omx)
-        elif m > 1:
-            leg1, leg0 = _jacobi_next(m, 0.0, 0.0, ratio, leg1, leg0), leg1
-            weight = np.where(degenerate, 0.0, weight * omx)
-        yield m, leg1 * weight
-
-
 def _radial_factors(t: np.ndarray, m: int, cutoff: int):
     """Yield (linear index, sqrt((ell+1)(2m+1)) * P^(2m+1,0)_(ell-m)(t)) for
     ell = m..cutoff: the normalized radial factor of each order-m member."""
@@ -216,27 +180,120 @@ def basis_matrix(points, cutoff: int, validate: bool = True) -> np.ndarray:
     Returns shape (npoints, tri_dim(cutoff)), columns in degree-major (ell, m)
     order.  The table is stored as a C-contiguous (tri_dim(cutoff), npoints)
     array and returned as its transposed view, so each basis member is one
-    contiguous row and a column prefix is a contiguous block.  Cost is
-    O(npoints * tri_dim(cutoff)) recurrence work.
+    contiguous row.  Cost is O(npoints * tri_dim(cutoff)) recurrence work.
     """
     pts = _checked_points(points, validate)
-    if cutoff < 0:
-        return np.empty((pts.shape[0], 0))
     t = 2.0 * pts[:, 0] - 1.0
     out = np.empty((tri_dim(cutoff), pts.shape[0]))
-    for m, base in _angular_factors(pts, cutoff):
+    angular, weight = collapsed_factors(pts, cutoff)[1], np.ones(len(pts))
+    for m in range(cutoff + 1):
+        angular[m] *= weight  # P_m(ratio) * (1-x1)^m
         for row, radial in _radial_factors(t, m, cutoff):
-            np.multiply(radial, base, out=out[row])
+            np.multiply(radial, angular[m], out=out[row])
+        weight *= 1.0 - pts[:, 0]
     return out.T
+
+
+def collapsed_factors(points, cutoff: int) -> tuple:
+    """Node factors of the synthesis engine, (cutoff + 1, npoints) arrays
+    Tu[a] = T_a(2*x1 - 1) and Pv[m] = P_m(2*x2/(1-x1) - 1) (Chebyshev, Legendre).
+
+    Member (ell, m) is g_lm(x1) * Pv[m], g_lm of degree ell and carrying
+    (1-x1)^m, so Pv[m >= 1] is 0 at the x1 = 1 corner, the continuous limit.
+    """
+    pts = np.asarray(points, dtype=float)
+    omx = 1.0 - pts[:, 0]
+    corner = omx < _CORNER_EPS
+    t = 2.0 * pts[:, 0] - 1.0
+    ratio = 2.0 * pts[:, 1] / np.where(corner, 1.0, omx) - 1.0
+    tu = np.ones((cutoff + 1, pts.shape[0]))
+    pv = np.ones_like(tu)
+    tu[1:2], pv[1:2] = t, ratio
+    for a in range(2, cutoff + 1):
+        tu[a] = 2.0 * t * tu[a - 1] - tu[a - 2]
+        pv[a] = _jacobi_next(a, 0.0, 0.0, ratio, pv[a - 1], pv[a - 2])
+    pv[1:, corner] = 0.0
+    return tu, pv
+
+
+@lru_cache(maxsize=16)
+def _conversion(cutoff: int) -> tuple:
+    """Read-only (A, rows): column d of A[m] holds the Chebyshev coefficients
+    of g_(m+d)m (its values at the Chebyshev-Gauss points, projected onto
+    T_0..T_cutoff), rows[m, d] its linear index; tri_dim(cutoff) pads both.
+    """
+    theta = math.pi * (np.arange(cutoff + 1) + 0.5) / (cutoff + 1)
+    t = np.cos(theta)
+    project = np.cos(np.outer(np.arange(cutoff + 1), theta)) * (2.0 / (cutoff + 1))
+    project[0] /= 2.0
+    conv = np.zeros((cutoff + 1,) * 3)
+    rows = np.full((cutoff + 1,) * 2, tri_dim(cutoff))
+    for m in range(cutoff + 1):
+        rows[m, : cutoff + 1 - m], radial = zip(*_radial_factors(t, m, cutoff))
+        values = np.array(radial).T * ((1.0 - t) / 2.0)[:, None] ** m  # g at the points
+        conv[m, :, : cutoff + 1 - m] = project @ values
+    conv.flags.writeable = rows.flags.writeable = False
+    return conv, rows
+
+
+def _parts(arr) -> np.ndarray:
+    """A complex array's real and imaginary parts as rows; a real one as a row."""
+    arr = np.asarray(arr)
+    return np.stack((arr.real, arr.imag)) if arr.dtype.kind == "c" else arr[None]
+
+
+def _joined(parts: np.ndarray) -> np.ndarray:
+    """Inverse of _parts."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty(parts.shape[1:], dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+def factored_sum(factors: tuple, coeffs, cutoff: int, fixed_order: bool = False) -> np.ndarray:
+    """Values sum_i coeffs[i] * phi_i at the points of factors = (Tu, Pv).
+
+    sum over m of (C @ Tu)[m] * Pv[m], C[m] = A_m @ c_m: one GEMM, O(n * L^2)
+    flops and O(n * L) memory for n points.  fixed_order sums one row at a
+    time in index order, without BLAS: the same bits under any threading.
+    """
+    tu, pv = (f[: cutoff + 1] for f in factors)
+    conv, rows = _conversion(cutoff)
+    parts = _parts(coeffs)
+    grid = np.concatenate((parts, np.zeros((len(parts), 1))), axis=1)[:, rows]
+    if not fixed_order:
+        cheb = (conv @ grid[..., None]).reshape(-1, cutoff + 1)
+        prod = (cheb @ tu).reshape(len(parts), cutoff + 1, -1)
+        return _joined(np.einsum("pmn,mn->pn", prod, pv))
+    cheb = np.einsum("mad,pmd->pma", conv, grid)
+    out = np.zeros((len(parts), tu.shape[1]))
+    for p, m in np.ndindex(cheb.shape[:2]):
+        g = np.zeros(tu.shape[1])
+        for c, row in zip(cheb[p, m], tu):
+            g += c * row
+        out[p] += g * pv[m]
+    return _joined(out)
+
+
+def factored_adjoint(factors: tuple, values, cutoff: int) -> np.ndarray:
+    """Adjoint of factored_sum: sum_k values[k] * phi_i(x_k) for every i,
+    as A_m.T @ ((Pv * values) @ Tu.T)[m], in the same cost."""
+    tu, pv = (f[: cutoff + 1] for f in factors)
+    conv, rows = _conversion(cutoff)
+    parts = _parts(values)
+    cheb = (parts[:, None] * pv).reshape(-1, tu.shape[1]) @ tu.T
+    out = np.empty((len(parts), tri_dim(cutoff) + 1))
+    out[:, rows] = (cheb.reshape(len(parts), cutoff + 1, 1, -1) @ conv)[:, :, 0]
+    return _joined(out[:, :-1])
 
 
 def expansion_values(points, coeffs, cutoff: int) -> np.ndarray:
     """Values at many points of sum_i coeffs[i] * (basis member i), without a table.
 
-    Equals basis_matrix(points, cutoff) @ coeffs up to rounding.  The radial
-    sums over the degree run once per distinct x1 and are then combined with
-    the angular factors: O(u * tri_dim(cutoff) + npoints * cutoff) time for u
-    distinct x1 values, and O(npoints) memory.  Real or complex coefficients.
+    Equals basis_matrix(points, cutoff) @ coeffs up to rounding.  factored_sum
+    runs over blocks of 8192 points, so memory stays O(npoints + cutoff^3).
+    Real or complex coefficients.
     """
     pts = _checked_points(points, validate=True)
     coeffs = np.asarray(coeffs)
@@ -245,16 +302,10 @@ def expansion_values(points, coeffs, cutoff: int) -> np.ndarray:
             f"expected {tri_dim(cutoff)} coefficients for cutoff {cutoff}, "
             f"got {coeffs.shape}"
         )
-    dtype = np.result_type(coeffs.dtype, float)
-    out = np.zeros(pts.shape[0], dtype=dtype)
-    x1, inverse = np.unique(pts[:, 0], return_inverse=True)
-    t = 2.0 * x1 - 1.0
-    for m, base in _angular_factors(pts, cutoff):
-        radial_sum = np.zeros(x1.shape, dtype=dtype)
-        for row, radial in _radial_factors(t, m, cutoff):
-            radial_sum += coeffs[row] * radial
-        out += radial_sum[inverse] * base
-    return out
+    return np.concatenate([
+        factored_sum(collapsed_factors(block, cutoff), coeffs, cutoff)
+        for block in np.array_split(pts, len(pts) // 8192 + 1)
+    ])
 
 
 def laplace_beltrami_apply(f: Callable, x, h: float) -> float:
@@ -332,9 +383,6 @@ class SpectralVector:
         keep = min(tri_dim(cutoff), tri_dim(self.cutoff))
         out[:keep] = self.coeffs[:keep]
         return SpectralVector(cutoff, out)
-
-    def copy(self) -> "SpectralVector":
-        return SpectralVector(self.cutoff, self.coeffs.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))

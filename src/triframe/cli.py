@@ -154,35 +154,39 @@ def _cgroup_memory_limits(
 
 
 def table_budget_bytes() -> int:
-    """Largest synthesis table a command may build: half of the memory limit.
+    """Largest footprint a command may count: half of the memory limit.
 
     The limit is physical memory, or the cgroup limit when that is lower.  The
-    other half is headroom for the rest of the command: the lower levels'
-    tables, Grams, products and the interpreter.
+    other half is headroom for what the count leaves out: the lower levels,
+    the artifacts' Python objects and the interpreter.
     """
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     return min([physical, *_cgroup_memory_limits()]) // 2
 
 
-def _check_table_budget(level: int) -> None:
-    """Refuse, before building anything, a level whose lattice table cannot fit."""
-    need = 8 * quadrature.lattice_size(level) * basis.tri_dim(basis.degree_cutoff(level))
+def _check_table_budget(command: str, level: int) -> None:
+    """Refuse, before building anything, a level whose largest arrays cannot fit:
+    for transform the top rule's node factors and one sequence's product, four
+    (L+1, N) arrays; for gen-lattice the level-J Gram's (N, dim) table and the
+    Gram; for diagnostics one more Gram, bounding those the lower levels keep.
+    """
+    n = quadrature.lattice_size(level)
+    cutoff = basis.degree_cutoff(level)
+    dim = basis.tri_dim(cutoff)
+    grams = 1 if command == "gen-lattice" else 2
+    need = 32 * n * (cutoff + 1) if command == "transform" else 8 * (n * dim + grams * dim**2)
     budget = table_budget_bytes()
     if need > budget:
         raise ValidationError(
-            f"level {level} needs a {need / 1e9:.2f} GB synthesis table, over the "
+            f"{command} at level {level} needs {need / 1e9:.2f} GB, over the "
             f"budget of {budget / 1e9:.2f} GB (half of the memory limit)"
         )
-
-
-def data_dir() -> Path:
-    return Path(os.environ.get("FRAMELET_DATA_DIR", "."))
 
 
 def _resolve_out(out: str | None, default_name: str) -> Path:
     if out is not None:
         return Path(out)
-    return data_dir() / default_name
+    return Path(os.environ.get("FRAMELET_DATA_DIR", ".")) / default_name
 
 
 def _atomic_write(path: Path, chunks) -> None:
@@ -251,7 +255,7 @@ def _build_system(args, levels: int, rules: str = "kronecker") -> transform.Fram
 
 
 def cmd_gen_lattice(args: argparse.Namespace) -> int:
-    _check_table_budget(args.level)
+    _check_table_budget(args.command, args.level)
     rule = quadrature.kronecker_lattice(args.level, args.generator, args.shift, args.strategy)
     doc = quadrature.rule_to_dict(rule)
     Draft202012Validator(RULE_SCHEMA).validate(doc)
@@ -282,7 +286,7 @@ def _spectral_from_doc(doc: dict, levels: int) -> basis.SpectralVector:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    _check_table_budget(args.level)
+    _check_table_budget(args.command, args.level)
     doc = _load_json(args.input)
     sys_ = _build_system(args, args.level)
     if args.mode in ("decompose", "roundtrip"):
@@ -317,7 +321,7 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
         raise ValidationError("tolerance must be positive")
     if args.level < 1:
         raise ValidationError("diagnostics needs level >= 1")
-    _check_table_budget(args.level)
+    _check_table_budget(args.command, args.level)
     bank = _load_bank(args.bank)
     grid = np.linspace(0.0, 0.5, 10001)
     partition = filters.check_partition(bank, grid)
@@ -374,9 +378,9 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
             "top_residual": parseval["top"]["residual"],
         },
         "notes": [
-            "transforms use direct synthesis sums costing O(N_j * dim_j) per level;"
-            " a sub-quadratic basis transform is not implemented, so FFT-speed"
-            " scaling is not reproduced",
+            "transforms synthesize by collapsed-coordinate sum factorization,"
+            " O(N_j * L_j^2) per level for degree cutoff L_j; a fast basis"
+            " transform is not implemented, so FFT-speed scaling is not reproduced",
         ],
     }
     out = _resolve_out(args.out, f"diagnostics_J{args.level}.json")

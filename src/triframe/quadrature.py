@@ -20,7 +20,9 @@ from .basis import (
     SIMPLEX_TOL,
     DomainError,
     basis_matrix,
+    collapsed_factors,
     degree_cutoff,
+    factored_adjoint,
     lambda_vector,
     tri_dim,
 )
@@ -45,8 +47,9 @@ def lattice_size(j: int) -> int:
 class QuadratureRule:
     """Weighted node set on the triangle.
 
-    Treated as immutable after construction; the lazily built weighted basis
-    matrices and Gram matrices are cached per spectral cutoff.
+    Treated as immutable after construction; the synthesis engine's node
+    factors (one pair, see node_factors) and one Gram matrix per spectral
+    cutoff are built lazily and cached.
     """
 
     nodes: np.ndarray
@@ -54,7 +57,7 @@ class QuadratureRule:
     kind: str = KIND_CUSTOM
     level: int | None = None
     generator_meta: dict = field(default_factory=dict)
-    _basis_cache: dict = field(
+    _factor_cache: dict = field(
         default_factory=dict, repr=False, compare=False, init=False
     )
     _gram_cache: dict = field(
@@ -96,34 +99,38 @@ class QuadratureRule:
     def with_level(self, level: int) -> "QuadratureRule":
         """Copy of this rule tagged with a framelet level.
 
-        The copy shares the node data and the table and Gram caches, so the
-        levels of one node set build each table once.
+        The copy shares the node data and the factor and Gram caches, so the
+        levels of one node set build each once.
         """
         copy = replace(self, level=level)
-        copy._basis_cache = self._basis_cache
+        copy._factor_cache = self._factor_cache
         copy._gram_cache = self._gram_cache
         return copy
 
-    def weighted_basis(self, cutoff: int) -> np.ndarray:
-        """sqrt(weight)-scaled basis table, shape (N, tri_dim(cutoff)); cached.
+    def node_factors(self, cutoff: int) -> tuple:
+        """basis.collapsed_factors of the nodes, rows 0..cutoff: views of the
+        one pair cached, built at the widest cutoff asked for so far."""
+        if not self._factor_cache or cutoff > max(self._factor_cache):
+            self._factor_cache.clear()
+            self._factor_cache[cutoff] = collapsed_factors(self.nodes, cutoff)
+        (factors,) = self._factor_cache.values()
+        return tuple(f[: cutoff + 1] for f in factors)
 
-        This is the synthesis matrix: values = weighted_basis(c) @ coeffs.  A
-        smaller cutoff is served as a column-prefix view of a cached table.
-        """
-        if cutoff < 0:
-            return np.empty((self.size, 0))
-        best = max((c for c in self._basis_cache if c >= cutoff), default=None)
-        if best is None:
-            if np.any(self.weights < 0.0):
-                raise DomainError("a sqrt-weighted table needs positive weights")
-            table = basis_matrix(self.nodes, cutoff, validate=False)
-            table *= np.sqrt(self.weights)[:, None]
-            self._basis_cache[cutoff] = table
-            return table
-        return self._basis_cache[best][:, : tri_dim(cutoff)]
+    def sqrt_weights(self) -> np.ndarray:
+        """Square roots of the weights, which scale synthesized point values."""
+        if np.any(self.weights < 0.0):
+            raise DomainError("sqrt-weighted values need positive weights")
+        return np.sqrt(self.weights)
+
+    def weighted_basis(self, cutoff: int) -> np.ndarray:
+        """sqrt(weight)-scaled basis table, shape (N, tri_dim(cutoff)), built
+        on each call: gram_matrix takes its symmetric product and caches that."""
+        table = basis_matrix(self.nodes, cutoff, validate=False)
+        table *= self.sqrt_weights()[:, None]
+        return table
 
     def clear_cache(self) -> None:
-        self._basis_cache.clear()
+        self._factor_cache.clear()
         self._gram_cache.clear()
 
 
@@ -233,19 +240,13 @@ def exactness_degree(rule: QuadratureRule, tol: float, max_degree: int = 60) -> 
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    positive = bool(np.all(rule.weights > 0.0))
     cap = max_degree + 1
     cutoff = min(8, cap)
     while True:
-        if positive:
-            # sqrt(w) times the cached sqrt(w)-weighted table: the weighted sums
-            sums = np.sqrt(rule.weights) @ rule.weighted_basis(cutoff)
-        else:
-            # a negative weight has no real square root, so no cached table
-            sums = rule.weights @ basis_matrix(rule.nodes, cutoff, validate=False)
-        exact = np.zeros_like(sums)
-        exact[0] = 1.0
-        err = np.abs(sums - exact)
+        # the engine's adjoint applied to the weights: the weighted sums
+        err = factored_adjoint(rule.node_factors(cutoff), rule.weights, cutoff)
+        err[0] -= 1.0  # constants integrate to 1, the other members to 0
+        err = np.abs(err)
         for ell in range(cutoff + 1):
             if err[tri_dim(ell - 1) : tri_dim(ell)].max() > tol:
                 return ell - 1

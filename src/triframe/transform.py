@@ -3,14 +3,15 @@
 Every coefficient sequence carries its spectral representation alongside the
 point values; the transform algebra acts on spectra (where decomposition and
 reconstruction are exact identities) and point values are a synthesized view
-computed lazily from the carrying rule.  High-pass coefficients at framelet
+computed lazily from the carrying rule by the engine of `basis` (factored_sum;
+the adjoint DFT is factored_adjoint).  High-pass coefficients at framelet
 level j live on the level-(j+1) rule because their scaling symbols occupy a
 band twice as wide as the low-pass one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,8 @@ from .basis import (
     basis_matrix,
     degree_cutoff,
     expansion_values,
+    factored_adjoint,
+    factored_sum,
     lambda_vector,
     max_degree_within,
     tri_dim,
@@ -34,49 +37,24 @@ PARTITION_TOL = 1e-12
 _PARTITION_GRID = np.linspace(0.0, 0.5, 2049)
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """A new complex array from its parts, without re + 1j * im temporaries."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def _synthesize(table: np.ndarray, coeffs_list: Sequence[np.ndarray]) -> list:
-    """Point values of each complex coefficient vector over one (N, dim) table.
-
-    A vector shorter than dim has a lower cutoff and is summed over the first
-    columns.  All vectors are applied in one pass over the table: their real
-    and imaginary parts, zero-padded to dim, are the rows of one product with
-    the contiguous (dim, N) array behind the view.
-    """
-    rows = np.zeros((2 * len(coeffs_list), table.shape[1]))
-    for i, c in enumerate(coeffs_list):
-        rows[2 * i, : c.size] = c.real
-        rows[2 * i + 1, : c.size] = c.imag
-    parts = rows @ table.T
-    return [_complex(parts[2 * i], parts[2 * i + 1]) for i in range(len(coeffs_list))]
-
-
-def _adjoint_apply(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # both parts in one pass over the table
-    re, im = np.stack((values.real, values.imag)) @ table
-    return _complex(re, im)
+def _synthesis(rule: QuadratureRule, u: SpectralVector, fixed_order: bool = False) -> np.ndarray:
+    """Point values sqrt(w_k) * sum_i u_i * phi_i(x_k) at the rule's nodes."""
+    values = factored_sum(rule.node_factors(u.cutoff), u.coeffs, u.cutoff, fixed_order)
+    values *= rule.sqrt_weights()
+    return values
 
 
 @dataclass(eq=False)
 class CoefficientSequence:
     """Framelet coefficients over one rule's nodes plus their spectrum.
 
-    Sequences of one rule that come out of one transform step share a
-    synthesis batch: the first read of any member's values synthesizes every
-    member that has none yet, in one pass over the rule's table.
+    The point values are synthesized from the spectrum on their first read,
+    one engine call per sequence, and kept.
     """
 
     rule: QuadratureRule
     spectral: SpectralVector | None
     _values: np.ndarray | None = None
-    _batch: list | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         if self._values is not None:
@@ -96,38 +74,17 @@ class CoefficientSequence:
     def values(self) -> np.ndarray:
         """Point values sqrt(w_k) * sum of spectrum * basis at node k."""
         if self._values is None:
-            pending = [s for s in self._batch or [self] if s._values is None]
-            cutoff = max(s.spectral.cutoff for s in pending)
-            table = self.rule.weighted_basis(cutoff)
-            synthesized = _synthesize(table, [s.spectral.coeffs for s in pending])
-            for seq, values in zip(pending, synthesized):
-                seq._values = values
-                seq._batch = None
+            self._values = _synthesis(self.rule, self.spectral)
         return self._values
 
     def __len__(self) -> int:
         return self.rule.size
 
 
-def _share_batch(seqs: Sequence[CoefficientSequence]) -> None:
-    """Put the sequences that have no values yet, all on one rule, in one batch."""
-    batch = [seq for seq in seqs if seq._values is None]
-    for seq in batch:
-        seq._batch = batch
-
-
 def _point_values(seq: CoefficientSequence, fixed_order: bool) -> np.ndarray:
-    """seq.values, or with fixed_order the same sum taken one basis row at a
-    time in index order: the same bits under any BLAS threading, and no
-    (N, dim) temporary.  It reads the table of the sequence's batch."""
-    if not fixed_order:
-        return seq.values
-    cutoff = max(s.spectral.cutoff for s in seq._batch or [seq])
-    table = seq.rule.weighted_basis(cutoff)
-    out = np.zeros(seq.rule.size, dtype=complex)
-    for row, c in zip(table.T, seq.spectral.coeffs):
-        out += row * c
-    return out
+    """seq.values, or with fixed_order the engine's fixed-order sum: the same
+    bits under any BLAS threading, in O(N) memory."""
+    return _synthesis(seq.rule, seq.spectral, True) if fixed_order else seq.values
 
 
 @dataclass
@@ -229,7 +186,6 @@ def analyze(sys: FrameletSystem, f: SpectralVector, j: int):
         CoefficientSequence(rule_hi, _filtered_spectrum(f, sym, j))
         for sym in sys.bank.scaling_highs
     ]
-    _share_batch(highs)
     return low, highs
 
 
@@ -247,38 +203,33 @@ def convolve(
     return CoefficientSequence(v.rule, out)
 
 
-def downsample(sys: FrameletSystem, v: CoefficientSequence) -> CoefficientSequence:
-    """Truncate the spectrum to eigenvalues <= 2**(j-1) and move one level down."""
-    j = v.level
-    if j < 1:
-        raise ValueError("cannot downsample a level-0 sequence")
+def _moved(sys: FrameletSystem, v: CoefficientSequence, j: int) -> CoefficientSequence:
+    """v's spectrum truncated to eigenvalues <= 2**(v.level - 1), on the level-j rule."""
     if v.spectral is None:
         raise ValueError("sequence carries no spectral representation")
-    cut = min(v.spectral.cutoff, max_degree_within(2.0 ** (j - 1)))
-    return CoefficientSequence(sys.rule(j - 1), v.spectral.resized(cut))
+    cut = min(v.spectral.cutoff, max_degree_within(2.0 ** (v.level - 1)))
+    return CoefficientSequence(sys.rule(j), v.spectral.resized(cut))
+
+
+def downsample(sys: FrameletSystem, v: CoefficientSequence) -> CoefficientSequence:
+    """Truncate the spectrum to eigenvalues <= 2**(j-1) and move one level down."""
+    if v.level < 1:
+        raise ValueError("cannot downsample a level-0 sequence")
+    return _moved(sys, v, v.level - 1)
 
 
 def upsample(sys: FrameletSystem, v: CoefficientSequence) -> CoefficientSequence:
     """Truncate the spectrum to eigenvalues <= 2**(j-2) and move one level up."""
-    j = v.level + 1
-    if v.spectral is None:
-        raise ValueError("sequence carries no spectral representation")
-    cut = min(v.spectral.cutoff, max_degree_within(2.0 ** (j - 2)))
-    return CoefficientSequence(sys.rule(j), v.spectral.resized(cut))
+    return _moved(sys, v, v.level + 1)
 
 
-def decompose(sys: FrameletSystem, v: CoefficientSequence, *, batch_input: bool = True):
-    """One-level decomposition: (low at level j-1, r highs on the level-j rule).
-
-    The highs share a synthesis batch, which v joins when it has no values
-    yet and batch_input is true.
-    """
+def decompose(sys: FrameletSystem, v: CoefficientSequence):
+    """One-level decomposition: (low at level j-1, r highs on the level-j rule)."""
     j = v.level
     if j < 1:
         raise ValueError("cannot decompose below level 1")
     low = downsample(sys, convolve(v, sys.bank.low, conjugate=True))
     highs = [convolve(v, sym, conjugate=True) for sym in sys.bank.highs]
-    _share_batch([v, *highs] if batch_input else highs)
     return low, highs
 
 
@@ -323,17 +274,15 @@ class FrameletTree:
         return len(self.details[0]) if self.details else 0
 
     def coefficient_count(self) -> int:
-        total = len(self.base)
-        for highs in self.details:
-            total += sum(len(h) for h in highs)
-        return total
+        return len(self.base) + sum(len(h) for highs in self.details for h in highs)
 
 
 def multilevel_decompose(sys: FrameletSystem, v: CoefficientSequence) -> FrameletTree:
     """Iterate decompose from the sequence's level down to level 0.
 
-    Only v joins its step's synthesis batch: the intermediate low-pass
-    sequences are not part of the tree, so their values are never needed.
+    Nothing is synthesized: each sequence's values wait for their first read,
+    so the intermediate low-pass sequences, which are not part of the tree,
+    never are.
     """
     top = v.level
     if top < 1:
@@ -341,7 +290,7 @@ def multilevel_decompose(sys: FrameletSystem, v: CoefficientSequence) -> Framele
     details = [None] * top
     current = v
     for j in range(top, 0, -1):
-        current, highs = decompose(sys, current, batch_input=j == top)
+        current, highs = decompose(sys, current)
         details[j - 1] = highs
     return FrameletTree(base=current, details=details)
 
@@ -355,15 +304,15 @@ def multilevel_reconstruct(sys: FrameletSystem, tree: FrameletTree) -> Coefficie
 
 
 def dft(u: SpectralVector, j: int, rule: QuadratureRule) -> np.ndarray:
-    """Direct synthesis of a spectral vector onto the rule's nodes.
+    """Synthesis of a spectral vector onto the rule's nodes.
 
-    Cost O(N * dim); the cutoff must fit the level-j spectral cap.
+    Cost O(N * L^2) for cutoff L; the cutoff must fit the level-j spectral cap.
     """
     if u.cutoff > degree_cutoff(j):
         raise ValueError(
             f"cutoff {u.cutoff} exceeds level-{j} cap {degree_cutoff(j)}"
         )
-    return _synthesize(rule.weighted_basis(u.cutoff), [u.coeffs])[0]
+    return _synthesis(rule, u)
 
 
 def adjoint_dft(values, j: int, rule: QuadratureRule) -> SpectralVector:
@@ -374,7 +323,8 @@ def adjoint_dft(values, j: int, rule: QuadratureRule) -> SpectralVector:
             f"expected {rule.size} point values, got {values.shape}"
         )
     cut = degree_cutoff(j)
-    return SpectralVector(cut, _adjoint_apply(rule.weighted_basis(cut), values))
+    weighted = values * rule.sqrt_weights()
+    return SpectralVector(cut, factored_adjoint(rule.node_factors(cut), weighted, cut))
 
 
 def parseval_report(sys: FrameletSystem, f: SpectralVector, levels: int) -> dict:
@@ -511,10 +461,6 @@ def _pairs_to_array(pairs) -> np.ndarray:
     return data[:, 0] + 1j * data[:, 1]
 
 
-def _rule_ref(rule: QuadratureRule) -> str:
-    return f"{rule.kind}/{rule.level}"
-
-
 def sequence_to_dict(
     seq: CoefficientSequence, channel: str = "low", j: int | None = None,
     n: int | None = None, *, fixed_order: bool = False,
@@ -522,7 +468,7 @@ def sequence_to_dict(
     doc = {
         "channel": channel,
         "j": seq.level if j is None else j,
-        "rule_ref": _rule_ref(seq.rule),
+        "rule_ref": f"{seq.rule.kind}/{seq.rule.level}",
         "v": _complex_pairs(_point_values(seq, fixed_order)),
         "spectral": {
             "cutoff": seq.spectral.cutoff,

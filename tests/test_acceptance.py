@@ -202,7 +202,7 @@ def test_criterion_09_localization(kron6):
 
 def _timed_decompose(bank, j, reps=5):
     """Median one-shot decompose time at level j, including the lazily built
-    synthesis matrices (cleared before each timed call)."""
+    node factors (cleared before each timed call)."""
     rng = np.random.default_rng(1000 + j)
     sys_ = kronecker_system(bank, j)
     times = []
@@ -229,8 +229,8 @@ def test_criterion_10_complexity_scaling(bank):
         + ", ".join(f"j={j}: {t * 1e3:.2f}ms" for j, t in times.items())
         + "; growth factors "
         + ", ".join(f"{j}: {f:.2f}" for j, f in factors.items())
-        + " (asserted window [3, 8]). Direct synthesis costs O(N_j * dim_j)"
-        " with N ~4x and dim ~4x per level, so the work ratio approaches ~16x"
+        + " (asserted window [3, 8]). Factored synthesis costs O(N_j * L_j^2)"
+        " with N ~4x and L ~2x per level, so the work ratio approaches ~16x"
         " at large j while Python overhead flattens it at small j; FFT-speed"
         " scaling is not achievable without a fast basis transform, which is"
         " out of scope. See README 'Complexity'."

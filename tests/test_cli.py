@@ -57,37 +57,62 @@ def test_gen_lattice_level_guard(tmp_path, capsys):
     assert "level" in capsys.readouterr().err
 
 
+def _footprints(level):
+    """Bytes each guarded command counts at a level, written out independently."""
+    n, cut = lattice_size(level), degree_cutoff(level)
+    dim = tri_dim(cut)
+    return {
+        # node factors (Tu, Pv) and one sequence's product: four (L+1, N) arrays
+        "transform": 4 * 8 * n * (cut + 1),
+        # the sqrt(w)-weighted (N, dim) table and its Gram
+        "gen-lattice": 8 * (n * dim + dim * dim),
+        # the same plus one more Gram
+        "diagnostics": 8 * (n * dim + 2 * dim * dim),
+    }
+
+
 def test_level_whose_table_exceeds_the_budget_is_refused(tmp_path, capsys, monkeypatch):
     f_path = tmp_path / "f.json"
     _write_spectral(f_path, 0)
-    table_bytes = 8 * lattice_size(3) * tri_dim(degree_cutoff(3))
-    monkeypatch.setattr(cli, "table_budget_bytes", lambda: table_bytes - 1)
     commands = [
         ["transform", "--roundtrip", "-j", "3", "--input", str(f_path)],
         ["gen-lattice", "-j", "3"],
         ["diagnostics", "-j", "3"],
     ]
+    needs = _footprints(3)
     for argv in commands:
+        need = needs[argv[0]]
+        monkeypatch.setattr(cli, "table_budget_bytes", lambda: need - 1)
         out = tmp_path / "out.json"
         assert cli.main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{table_bytes / 1e9:.2f} GB" in err and "budget" in err
+        assert f"{argv[0]} at level 3 needs {need / 1e9:.2f} GB" in err
+        assert f"budget of {(need - 1) / 1e9:.2f} GB" in err
         assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
-    # sampling builds no table, so the guard does not apply
+    # sampling builds no rule factors or table, so the guard does not apply
     csv = tmp_path / "phi.csv"
     assert cli.main(["sample", "--kind", "low", "-j", "3", "--grid", "8", "--out", str(csv)]) == 0
-    # the budget at the real table size is met
-    monkeypatch.setattr(cli, "table_budget_bytes", lambda: table_bytes)
-    assert cli.main(["gen-lattice", "-j", "3", "--out", str(tmp_path / "r.json")]) == 0
+    # a budget of exactly the count is met
+    for argv in commands:
+        need = needs[argv[0]]
+        monkeypatch.setattr(cli, "table_budget_bytes", lambda: need)
+        assert cli.main([*argv, "--out", str(tmp_path / f"{argv[0]}.json")]) == 0
 
 
 def test_level_8_is_refused_on_an_8_gb_machine(monkeypatch):
-    # half of 8.42 GB; the 65537 x 8256 x 8 B = 4.33 GB table is never built
+    # half of 8.42 GB
     monkeypatch.setattr(cli, "table_budget_bytes", lambda: 4_210_000_000)
-    cli._check_table_budget(7)
-    with pytest.raises(cli.ValidationError, match="level 8 needs a 4.33 GB"):
-        cli._check_table_budget(8)
+    for command in ("transform", "gen-lattice", "diagnostics"):
+        cli._check_table_budget(command, 7)
+    # J=8 transform holds its node factors and one product, 4 x 128 x 65537 x 8 B
+    assert _footprints(8)["transform"] == 268_439_552
+    cli._check_table_budget("transform", 8)
+    # the 65537 x 8256 x 8 B = 4.33 GB table and its 0.55 GB Grams are never built
+    with pytest.raises(cli.ValidationError, match="gen-lattice at level 8 needs 4.87 GB"):
+        cli._check_table_budget("gen-lattice", 8)
+    with pytest.raises(cli.ValidationError, match="diagnostics at level 8 needs 5.42 GB"):
+        cli._check_table_budget("diagnostics", 8)
 
 
 def test_cgroup_memory_limits_are_read_up_the_hierarchy(tmp_path):

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from triframe.basis import DomainError, basis_eval, basis_matrix, degree_cutoff, tri_dim
+from triframe.basis import (
+    DomainError,
+    SpectralVector,
+    basis_eval,
+    basis_matrix,
+    degree_cutoff,
+    tri_dim,
+)
 from triframe.quadrature import (
     QuadratureRule,
     exactness_degree,
@@ -20,6 +27,7 @@ from triframe.quadrature import (
     rule_from_dict,
     rule_to_dict,
 )
+from triframe.transform import dft
 
 # values recorded from the shipped default lattice (generator frac sqrt2 /
 # frac sqrt3, zero shift, fold); tracked as regressions
@@ -155,16 +163,26 @@ def test_negative_weight_rule():
     assert_allclose(gram[:3, :3], np.eye(3), rtol=0, atol=1e-14)
     with pytest.raises(DomainError, match="positive weights"):
         rule.weighted_basis(2)
-    assert rule._basis_cache == {}
+    # point values are sqrt(w)-scaled, so the rule has none
+    with pytest.raises(DomainError, match="positive weights"):
+        dft(SpectralVector.zeros(1), 2, rule)
+
+
+@pytest.mark.parametrize("j, degree", [(3, 7), (5, 31), (6, 63)])
+def test_reference_rule_exactness_degree(j, degree):
+    # a Gauss rule with n points per direction is exact to degree 2n - 1
+    rule = gauss_reference_rule(2 * degree_cutoff(j))
+    assert exactness_degree(rule, 1e-12, max_degree=2 * degree_cutoff(j) + 2) == degree
 
 
 def test_with_level_shares_tables_and_grams():
     rule = gauss_reference_rule(8)
     levels = [rule.with_level(j) for j in range(3)]
-    table = levels[0].weighted_basis(4)
+    factors = levels[0].node_factors(4)
     gram = gram_matrix(levels[1], 4).entries
     for other in (levels[2], rule):
-        assert np.shares_memory(other.weighted_basis(4), table)
+        for mine, shared in zip(other.node_factors(4), factors):
+            assert np.shares_memory(mine, shared)
     assert gram_matrix(levels[2], 4).entries is gram
     assert [r.level for r in levels] == [0, 1, 2] and rule.level is None
 
@@ -252,16 +270,22 @@ def test_rule_validation():
         )
 
 
-def test_weighted_basis_cache_slices():
+def test_node_factors_cache_the_widest_cutoff():
     rule = kronecker_lattice(2)
-    full = rule.weighted_basis(6)
-    part = rule.weighted_basis(3)
-    assert part.shape == (rule.size, tri_dim(3))
-    assert np.array_equal(part, full[:, : tri_dim(3)])
-    # the smaller table is a contiguous column prefix of the cached one
-    assert np.shares_memory(part, full) and part.T.flags.c_contiguous
+    small = rule.node_factors(3)
+    full = rule.node_factors(6)
+    part = rule.node_factors(3)
+    assert list(rule._factor_cache) == [6]
+    for p, f, s in zip(part, full, small):
+        # the smaller cutoff reads contiguous leading rows of the cached pair
+        assert p.shape == (4, rule.size) and p.flags.c_contiguous
+        assert np.shares_memory(p, f) and np.array_equal(p, s)
+    # the weighted table is built on each call, and agrees with the scalar oracle
+    table = rule.weighted_basis(6)
+    assert table.shape == (rule.size, tri_dim(6))
+    assert not np.shares_memory(table, rule.weighted_basis(6))
     expected = math.sqrt(rule.weights[0]) * basis_eval((2, 1), rule.nodes[0])
-    assert_allclose(full[0, 4], expected, rtol=1e-12)
+    assert_allclose(table[0, 4], expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -162,7 +162,7 @@ def test_framelet_values_build_no_table(bank):
     sys_ = kronecker_system(bank, 5)
     framelet_values(sys_, "high", 4, 100, triangle_grid(64), n=1)
     framelet_eval(sys_, "low", 3, 7, (0.2, 0.3))
-    assert all(not rule._basis_cache for rule in sys_.rules)
+    assert all(not rule._factor_cache for rule in sys_.rules)
 
 
 def test_framelet_index_errors(sys_k5):
@@ -581,48 +581,43 @@ def test_system_validation(bank):
         FrameletSystem(bank, rules)
 
 
-# -- synthesis batches: sequences of one step share one pass over their table --
+# -- synthesis: one engine call per sequence, on its first read --
 
 
 @pytest.fixture
 def synth_calls(monkeypatch):
-    """Records the coefficient vectors of every _synthesize call."""
+    """Records the coefficient vector of every engine sum that transform runs."""
     from triframe import transform
 
     calls = []
-    original = transform._synthesize
+    original = transform.factored_sum
 
-    def counting(table, coeffs_list):
-        calls.append(list(coeffs_list))
-        return original(table, coeffs_list)
+    def counting(factors, coeffs, cutoff, fixed_order=False):
+        calls.append(coeffs)
+        return original(factors, coeffs, cutoff, fixed_order)
 
-    monkeypatch.setattr(transform, "_synthesize", counting)
+    monkeypatch.setattr(transform, "factored_sum", counting)
     return calls
 
 
 def _assert_own_memory(seqs):
-    # no member's values are a view into a buffer shared by the batch
+    # no sequence's values are a view into a buffer shared with another
     assert all(seq.values.flags.owndata for seq in seqs)
     for i, a in enumerate(seqs):
         for b in seqs[i + 1 :]:
             assert not np.shares_memory(a.values, b.values)
 
 
-def test_decompose_synthesizes_input_and_highs_in_one_batch(sys_k5, rng, synth_calls):
+def test_decompose_synthesizes_each_sequence_on_its_own_read(sys_k5, rng, synth_calls):
     v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(5), rng), 5)
     low, highs = decompose(sys_k5, v)
-    highs[0].values
-    assert len(synth_calls) == 1 and len(synth_calls[0]) == 1 + sys_k5.r
-    for seq in [v, *highs]:
-        assert seq._values is not None and seq._batch is None
-    assert low._values is None  # the low-pass output lives on another rule
-    for seq in [v, *highs]:
-        seq.values
-    assert len(synth_calls) == 1
+    for _ in range(2):
+        for seq in [v, *highs]:
+            seq.values
+    assert len(synth_calls) == 1 + sys_k5.r and low._values is None
     _assert_own_memory([v, *highs])
     for seq in [v, *highs]:
-        want = dft(seq.spectral, 5, seq.rule)
-        assert np.abs(seq.values - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.array_equal(seq.values, dft(seq.spectral, 5, seq.rule))
 
 
 def test_decompose_keeps_existing_values(sys_k5, rng, synth_calls):
@@ -631,63 +626,70 @@ def test_decompose_keeps_existing_values(sys_k5, rng, synth_calls):
     _, highs = decompose(sys_k5, v)
     highs[1].values
     assert v.values is before
-    assert [len(c) for c in synth_calls] == [1, sys_k5.r]
-
-
-def test_multilevel_decompose_batches_only_the_top_input(sys_k5, rng, synth_calls):
-    v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(5), rng), 5)
-    tree = multilevel_decompose(sys_k5, v)
-    for highs in tree.details:
-        highs[0].values
-    # one batch per level; only the top one holds the input besides its highs
-    assert [len(c) for c in synth_calls] == [sys_k5.r] * 4 + [1 + sys_k5.r]
-    assert v._values is not None
+    assert len(synth_calls) == 2
 
 
 def test_decompose_can_leave_its_input_out_of_the_batch(sys_k5, rng, synth_calls):
+    # there are no batches: reading one output synthesizes that output alone
     v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(4), rng), 4)
-    _, highs = decompose(sys_k5, v, batch_input=False)
+    _, highs = decompose(sys_k5, v)
     highs[0].values
-    assert [len(c) for c in synth_calls] == [sys_k5.r]
-    assert v._values is None and v._batch is None
+    assert len(synth_calls) == 1
+    assert v._values is None and highs[1]._values is None
 
 
-def test_batch_with_mixed_cutoffs_matches_one_member_synthesis(sys_k5, rng, synth_calls):
-    from triframe.transform import _share_batch
+def test_multilevel_decompose_synthesizes_only_what_is_read(sys_k5, rng, synth_calls):
+    v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(5), rng), 5)
+    tree = multilevel_decompose(sys_k5, v)
+    assert synth_calls == []
+    for highs in tree.details:
+        highs[0].values
+    assert len(synth_calls) == len(tree.details)
+    assert v._values is None
 
+
+def test_batch_with_mixed_cutoffs_matches_one_member_synthesis(sys_k5, rng):
+    # sequences of mixed cutoffs on one rule read leading rows of its factors
     rule = sys_k5.rule(4)
     seqs = [
         CoefficientSequence(rule, random_spectral(cut, rng)) for cut in (2, 7, 0, 5)
     ]
-    _share_batch(seqs)
-    seqs[2].values
-    assert len(synth_calls) == 1 and len(synth_calls[0]) == len(seqs)
+    for seq in seqs:
+        seq.values
+    assert list(rule._factor_cache) == [7]
     _assert_own_memory(seqs)
     for seq in seqs:
-        want = dft(seq.spectral, 4, rule)
-        assert np.abs(seq.values - want).max() <= 1e-15 * np.abs(want).max()
+        # alone, on a fresh rule whose factors are built at the sequence's cutoff
+        alone = CoefficientSequence(kronecker_lattice(4), seq.spectral)
+        assert np.array_equal(seq.values, alone.values)
+        table = rule.weighted_basis(seq.spectral.cutoff)
+        want = table @ seq.spectral.coeffs
+        assert np.abs(seq.values - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_analyze_synthesizes_highs_in_one_batch(sys_k5, rng, synth_calls):
+def test_analyze_synthesizes_each_high_on_its_own_read(sys_k5, rng, synth_calls):
     f = random_spectral(degree_cutoff(4), rng)
     low, highs = analyze(sys_k5, f, 3)
     highs[-1].values
-    assert len(synth_calls) == 1 and len(synth_calls[0]) == sys_k5.r
-    assert all(h._values is not None for h in highs) and low._values is None
+    assert len(synth_calls) == 1
+    assert highs[0]._values is None and low._values is None
+    for h in highs:
+        h.values
+    assert len(synth_calls) == sys_k5.r
     _assert_own_memory(highs)
 
 
 def test_bit_reproducible_batch_sums_each_member_alone(sys_k5, rng):
-    from triframe.transform import _share_batch
-
+    # the rule's factors are cached at its full cutoff, wider than one sequence's
     rule = sys_k5.rule(4)
-    specs = [random_spectral(cut, rng) for cut in (7, 3)]
-    seqs = [CoefficientSequence(rule, s) for s in specs]
-    _share_batch(seqs)
-    for seq, spec in zip(seqs, specs):
-        # alone, on a fresh rule whose table is built at the member's own cutoff
+    rule.node_factors(degree_cutoff(4))
+    for cut in (7, 3):
+        spec = random_spectral(cut, rng)
+        # alone, on a fresh rule whose factors are built at the sequence's cutoff
         alone = CoefficientSequence(kronecker_lattice(4), spec)
-        assert np.array_equal(_written_values(seq), _written_values(alone))
+        assert np.array_equal(
+            _written_values(CoefficientSequence(rule, spec)), _written_values(alone)
+        )
 
 
 def test_fixed_order_sum_holds_no_table_sized_temporary(rng):
@@ -697,16 +699,98 @@ def test_fixed_order_sum_holds_no_table_sized_temporary(rng):
 
     rule = kronecker_lattice(6)
     seq = CoefficientSequence(rule, random_spectral(degree_cutoff(6), rng))
-    want = seq.values  # builds and caches the table outside the traced call
+    want = seq.values  # builds and caches the node factors outside the traced call
     tracemalloc.start()
     try:
         got = _point_values(seq, fixed_order=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (N, dim) complex product would take 4097 * 528 * 16 B = 34.6 MB
+    # the BLAS path's (2, 32, N) product takes 2.1 MB, a dense (N, dim)
+    # complex product 4097 * 528 * 16 B = 34.6 MB
     assert peak < 1_000_000
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _dense_products(rule, coeffs, values, cutoff, block=2048):
+    """(B @ coeffs, B.T @ values) for the sqrt(w)-weighted basis table B,
+    built a block of nodes at a time."""
+    synth, adjoint = [], 0.0
+    for i in range(0, rule.size, block):
+        table = basis_matrix(rule.nodes[i : i + block], cutoff)
+        table *= np.sqrt(rule.weights[i : i + block])[:, None]
+        synth.append(table @ coeffs)
+        adjoint = adjoint + table.T @ values[i : i + block]
+    return np.concatenate(synth), adjoint
+
+
+@pytest.mark.parametrize("j", [5, 6, 7])
+@pytest.mark.parametrize(
+    "strategy, shift", [("fold", (0.0, 0.0)), ("intersect", (0.0, 0.0)), ("fold", (0.37, 0.81))]
+)
+def test_engine_matches_dense_table_products(j, strategy, shift, rng):
+    rule = kronecker_lattice(j, shift=shift, strategy=strategy)
+    cut = degree_cutoff(j)
+    u = random_spectral(cut, rng)
+    v = rng.standard_normal(rule.size) + 1j * rng.standard_normal(rule.size)
+    want_values, want_adjoint = _dense_products(rule, u.coeffs, v, cut)
+    got_values = dft(u, j, rule)
+    got_adjoint = adjoint_dft(v, j, rule).coeffs
+    assert np.abs(got_values - want_values).max() <= 1e-13 * np.abs(want_values).max()
+    assert np.abs(got_adjoint - want_adjoint).max() <= 1e-13 * np.abs(want_adjoint).max()
+    # the adjoint identity <dft(u), v> = <u, adjoint_dft(v)>
+    lhs = np.vdot(v, got_values)
+    rhs = np.vdot(got_adjoint, u.coeffs)
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(v) * np.linalg.norm(got_values)
+
+
+def test_engine_values_at_level_8_nodes_match_scalar_oracle(rng):
+    rule = kronecker_lattice(8)
+    cut = degree_cutoff(8)
+    # a sparse spectrum keeps the scalar oracle fast; it reaches the top degree
+    members = [(cut, 0), (cut, cut // 2), (cut, cut)]
+    members += [
+        (ell, int(rng.integers(ell + 1))) for ell in rng.integers(0, cut + 1, size=61)
+    ]
+    u = SpectralVector.from_entries(
+        cut, {idx: complex(*rng.standard_normal(2)) for idx in members}
+    )
+    values = dft(u, 8, rule)
+    nodes = rng.choice(rule.size, size=16, replace=False)
+    want = np.array([
+        math.sqrt(rule.weights[k])
+        * sum(u[idx] * basis_eval(idx, rule.nodes[k]) for idx in set(members))
+        for k in nodes
+    ])
+    assert np.abs(values[nodes] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    J=st.integers(1, 4),
+    level_share=st.floats(0.0, 1.0),
+    cutoff_share=st.floats(0.0, 1.0),
+    generator=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+    shift=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+    strategy=st.sampled_from(["fold", "intersect"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_analysis_commutation_property(
+    bank, J, level_share, cutoff_share, generator, shift, strategy, seed
+):
+    try:
+        sys_ = kronecker_system(bank, J, generator, shift, strategy)
+    except ValueError as exc:
+        # a degenerate generator can leave too few lattice points in the triangle
+        assert "intersect strategy found only" in str(exc)
+        reject()
+    j = 1 + round(level_share * (J - 1))
+    f = random_spectral(round(cutoff_share * degree_cutoff(J)), np.random.default_rng(seed))
+    got_low, got_highs = decompose(sys_, analyze_lowpass(sys_, f, j))
+    want_low, want_highs = analyze(sys_, f, j - 1)
+    for got, want in zip([got_low, *got_highs], [want_low, *want_highs]):
+        assert got.rule is want.rule
+        assert relative_difference(got, want) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
