@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .basis import (
     SIMPLEX_TOL,
@@ -23,6 +22,7 @@ from .basis import (
     collapsed_factors,
     degree_cutoff,
     factored_adjoint,
+    jacobi_eval,
     lambda_vector,
     tri_dim,
 )
@@ -186,6 +186,31 @@ def kronecker_lattice(
     )
 
 
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
+    """Gauss-Jacobi rule of n nodes for the weight (1-t)^a (1+t)^b on [-1, 1]:
+    ascending nodes and weights summing to 1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix, polished by one Newton step on P_n^(a,b).  The weights come
+    from the derivative formula w_i ~ 1 / ((1 - x_i^2) P_n'(x_i)^2), with
+    P_n^(a,b)' = (n+a+b+1)/2 * P_(n-1)^(a+1,b+1).
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    slope = 0.5 * (n + a + b + 1.0) * jacobi_eval(a + 1.0, b + 1.0, n - 1, x)
+    x -= jacobi_eval(a, b, n, x) / slope
+    # P_n' at the polished nodes; its constant factor cancels in the normalization
+    slope = jacobi_eval(a + 1.0, b + 1.0, n - 1, x)
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    return x, w / w.sum()
+
+
 def gauss_reference_rule(degree: int) -> QuadratureRule:
     """Rule exact for all triangle polynomials up to the requested degree.
 
@@ -199,8 +224,8 @@ def gauss_reference_rule(degree: int) -> QuadratureRule:
     if degree > 128:
         raise DomainError("reference rule capped at degree 128")
     npts = degree // 2 + 1
-    tu, wu = roots_jacobi(npts, 1.0, 0.0)
-    tv, wv = roots_legendre(npts)
+    tu, wu = _gauss_jacobi(npts, 1.0, 0.0)
+    tv, wv = _gauss_jacobi(npts, 0.0, 0.0)
     u = 0.5 * (tu + 1.0)
     v = 0.5 * (tv + 1.0)
     x1 = np.repeat(u, npts)

@@ -344,6 +344,35 @@ def test_reference_diagnostics_builds_each_table_once(tmp_path, monkeypatch):
     assert [row["exactness_degree"] for row in json.loads(out.read_text())["levels"]] == [7] * 4
 
 
+def test_transform_roundtrip_passes_default_tolerance(tmp_path, capsys, rng):
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, degree_cutoff(4), rng)
+    argv = ["transform", "--roundtrip", "-j", "4", "--input", str(f_path),
+            "--out", str(tmp_path / "tree.json")]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert float(captured.out.split("round-trip residual:")[1]) <= 1e-12
+    assert captured.err == ""
+
+
+def test_transform_roundtrip_tolerance_exit_code(tmp_path, capsys, monkeypatch):
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, 0)
+    out = tmp_path / "tree.json"
+    monkeypatch.setattr(cli.transform, "relative_difference", lambda *a, **k: 1e-6)
+    code = cli.main(
+        ["transform", "--roundtrip", "-j", "2", "--input", str(f_path), "--tol", "1e-8",
+         "--out", str(out)]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    # the stdout lines stay those of a passing run
+    assert captured.out.splitlines()[1:] == [f"wrote {out}", "round-trip residual: 1.000e-06"]
+    assert captured.err == (
+        "tolerance failure: round-trip residual 1.000e-06 exceeds tolerance 1.0e-08\n"
+    )
+
+
 def test_diagnostics_tolerance_exit_code(tmp_path, capsys):
     # even the shipped bank cannot meet an impossible tolerance
     code = cli.main(
@@ -454,6 +483,14 @@ def test_zero_tolerance_is_refused(tmp_path, capsys):
     )
 
 
+def test_transform_zero_tolerance_is_refused(tmp_path, capsys):
+    _refused(
+        tmp_path, capsys, ["transform", "--roundtrip", "-j", "1", "--input", "{input}",
+                           "--tol", "0"],
+        "validation error: tolerance must be positive",
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -466,6 +503,10 @@ def test_zero_tolerance_is_refused(tmp_path, capsys):
         (["diagnostics", "-j", "1", "--tol", "nan"],
          "validation error: tolerance must be finite"),
         (["diagnostics", "-j", "1", "--tol", "inf"],
+         "validation error: tolerance must be finite"),
+        (["transform", "--decompose", "-j", "1", "--input", "{input}", "--tol", "nan"],
+         "validation error: tolerance must be finite"),
+        (["transform", "--roundtrip", "-j", "1", "--input", "{input}", "--tol=-inf"],
          "validation error: tolerance must be finite"),
     ],
 )
@@ -520,6 +561,28 @@ def test_bit_repro_output_does_not_depend_on_blas_threads(tmp_path, rng):
         residuals.append(result.stdout.splitlines()[-1])
     assert trees[0] == trees[1]
     assert residuals[0] == residuals[1] and residuals[0].startswith("round-trip residual")
+
+
+_WITHOUT_SCIPY = """
+import sys
+import triframe.cli
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, loaded
+sys.modules["scipy"] = None  # any later scipy import fails
+sys.exit(triframe.cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, "diagnostics", "--rules", "reference",
+         "-j", "3", "--out", str(tmp_path / "d.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "exactness degree" in result.stdout
 
 
 def test_custom_bank_file(tmp_path):

@@ -17,6 +17,7 @@ from triframe.basis import (
 )
 from triframe.quadrature import (
     QuadratureRule,
+    _gauss_jacobi,
     exactness_degree,
     gauss_reference_rule,
     generalized_tightness_residual,
@@ -118,6 +119,30 @@ def test_gauss_reference_gram_identity():
     rule = gauss_reference_rule(20)
     gram = gram_matrix(rule, 10)
     assert gram.max_deviation_from_identity() < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 0.0)])
+def test_gauss_jacobi_matches_scipy(a, b):
+    from scipy.special import roots_jacobi
+
+    for n in range(1, 66):
+        nodes, weights = _gauss_jacobi(n, a, b)
+        ref_nodes, ref_weights = roots_jacobi(n, a, b)
+        assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-15)
+        assert_allclose(weights, ref_weights / ref_weights.sum(), rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("degree", [7, 31, 63, 127])
+def test_gauss_reference_integrates_monomials(degree):
+    # normalized area measure: the mean of x1^a x2^b is 2 a! b! / (a+b+2)!
+    rule = gauss_reference_rule(degree)
+    powers = np.arange(degree + 1)
+    x1, x2 = (rule.nodes[:, k, None] ** powers for k in (0, 1))
+    moments = (x1 * rule.weights[:, None]).T @ x2
+    for i, j in np.ndindex(moments.shape):
+        if i + j <= degree:
+            exact = 2 * math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)
+            assert moments[i, j] == pytest.approx(exact, rel=1e-12, abs=0.0), (i, j)
 
 
 def test_integrate_zero_mean_member():
