@@ -221,32 +221,17 @@ def _conversion(cutoff: int) -> tuple:
     """Read-only (A, rows): column d of A[m] holds the Chebyshev coefficients
     of g_(m+d)m (its values at the Chebyshev-Gauss points, projected onto
     T_0..T_cutoff), rows[m, d] its linear index; tri_dim(cutoff) pads both.
-
-    One radial recurrence in d serves every order m at once (tau = 2m+1 as a
-    vector); step d updates only the orders m <= cutoff - d that still have a
-    member of degree m + d.
     """
     theta = math.pi * (np.arange(cutoff + 1) + 0.5) / (cutoff + 1)
     t = np.cos(theta)
     project = np.cos(np.outer(np.arange(cutoff + 1), theta)) * (2.0 / (cutoff + 1))
     project[0] /= 2.0
-    m = np.arange(cutoff + 1)
-    ell = m[:, None] + m  # [m, d]
-    tau = (2.0 * m + 1.0)[:, None]
-    norm = np.sqrt((ell + 1.0) * tau)
-    values = np.zeros((cutoff + 1,) * 3)  # [m, d, point]: g_(m+d)m at the points
-    jac0 = np.zeros((cutoff + 1, cutoff + 1))
-    jac1 = np.ones_like(jac0)  # Jacobi P^(2m+1,0)_d(t), row m, d running
-    for d in range(cutoff + 1):
-        k = cutoff + 1 - d
-        if d == 1:
-            jac1, jac0 = 0.5 * ((tau[:k] + 2.0) * t + tau[:k]), jac1[:k]
-        elif d > 1:
-            jac1, jac0 = _jacobi_next(d, tau[:k], 0.0, t, jac1[:k], jac0[:k]), jac1[:k]
-        values[:k, d] = norm[:k, d, None] * jac1
-    values *= (((1.0 - t) / 2.0) ** m[:, None])[:, None]
-    conv = project @ values.transpose(0, 2, 1)
-    rows = np.where(ell <= cutoff, ell * (ell + 1) // 2 + m[:, None], tri_dim(cutoff))
+    conv = np.zeros((cutoff + 1,) * 3)
+    rows = np.full((cutoff + 1,) * 2, tri_dim(cutoff))
+    for m in range(cutoff + 1):
+        rows[m, : cutoff + 1 - m], radial = zip(*_radial_factors(t, m, cutoff))
+        values = np.array(radial).T * ((1.0 - t) / 2.0)[:, None] ** m  # g at the points
+        conv[m, :, : cutoff + 1 - m] = project @ values
     conv.flags.writeable = rows.flags.writeable = False
     return conv, rows
 

@@ -29,6 +29,8 @@ MAX_GRID = 2048
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
+# transform --roundtrip exits EXIT_TOLERANCE when its relative residual exceeds this
+ROUNDTRIP_TOL = 1e-12
 
 
 class ToleranceFailure(Exception):
@@ -285,15 +287,7 @@ def _spectral_from_doc(doc: dict, levels: int) -> basis.SpectralVector:
     return basis.SpectralVector(cutoff, coeffs)
 
 
-def _check_tolerance(tol: float) -> None:
-    if not math.isfinite(tol):
-        raise ValidationError("tolerance must be finite")
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
-
-
 def cmd_transform(args: argparse.Namespace) -> int:
-    _check_tolerance(args.tol)
     _check_table_budget(args.command, args.level)
     doc = _load_json(args.input)
     sys_ = _build_system(args, args.level)
@@ -309,9 +303,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
             recon = transform.multilevel_reconstruct(sys_, tree)
             residual = transform.relative_difference(top, recon, fixed_order=args.bit_repro)
             print(f"round-trip residual: {residual:.3e}")
-            if not residual <= args.tol:
+            if not residual <= ROUNDTRIP_TOL:
                 raise ToleranceFailure(
-                    f"round-trip residual {residual:.3e} exceeds tolerance {args.tol:.1e}"
+                    f"round-trip residual {residual:.3e} exceeds tolerance {ROUNDTRIP_TOL:.1e}"
                 )
     else:
         Draft202012Validator(TREE_SCHEMA).validate(doc)
@@ -327,7 +321,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnostics(args: argparse.Namespace) -> int:
-    _check_tolerance(args.tol)
+    if not math.isfinite(args.tol):
+        raise ValidationError("tolerance must be finite")
+    if args.tol <= 0:
+        raise ValidationError("tolerance must be positive")
     if args.level < 1:
         raise ValidationError("diagnostics needs level >= 1")
     _check_table_budget(args.command, args.level)
@@ -470,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tight framelet transforms on the unit triangle",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol = {"type": float, "default": 1e-12}
 
     p_gen = sub.add_parser("gen-lattice", help="generate a Kronecker lattice rule")
     p_gen.add_argument("--level", "-j", type=int, required=True)
@@ -489,13 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--bit-repro", action="store_true",
         help="sum written point values in a fixed order: same bytes under any BLAS threading",
     )
-    p_tr.add_argument("--tol", **tol, help="round-trip residual above which --roundtrip exits 3")
     _add_lattice_args(p_tr)
     p_tr.add_argument("--out", default=None)
 
     p_diag = sub.add_parser("diagnostics", help="tightness and exactness report")
     p_diag.add_argument("--level", "-j", type=int, default=4)
-    p_diag.add_argument("--tol", **tol)
+    p_diag.add_argument("--tol", type=float, default=1e-12)
     p_diag.add_argument("--rules", choices=["kronecker", "reference"], default="kronecker")
     p_diag.add_argument("--bank", default=filters.DEFAULT_BANK_NAME)
     _add_lattice_args(p_diag)

@@ -188,7 +188,7 @@ def kronecker_lattice(
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
     """Gauss-Jacobi rule of n nodes for the weight (1-t)^a (1+t)^b on [-1, 1]:
-    ascending nodes and weights summing to 1.
+    ascending nodes and their weights up to one common factor.
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
     Jacobi matrix, polished by one Newton step on P_n^(a,b).  The weights come
@@ -205,10 +205,9 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     slope = 0.5 * (n + a + b + 1.0) * jacobi_eval(a + 1.0, b + 1.0, n - 1, x)
     x -= jacobi_eval(a, b, n, x) / slope
-    # P_n' at the polished nodes; its constant factor cancels in the normalization
+    # P_n' at the polished nodes, less its constant factor
     slope = jacobi_eval(a + 1.0, b + 1.0, n - 1, x)
-    w = 1.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
-    return x, w / w.sum()
+    return x, 1.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
 
 
 def gauss_reference_rule(degree: int) -> QuadratureRule:

@@ -8,8 +8,6 @@ from scipy.special import eval_jacobi
 from triframe.basis import (
     DomainError,
     SpectralVector,
-    _conversion,
-    _radial_factors,
     basis_eval,
     basis_matrix,
     degree_cutoff,
@@ -154,30 +152,6 @@ def test_expansion_values_match_table(complex_coeffs):
     got = expansion_values(pts, coeffs, cutoff)
     assert got.dtype == want.dtype
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
-def _conversion_by_order(cutoff):
-    """_conversion built one order m at a time from _radial_factors."""
-    theta = math.pi * (np.arange(cutoff + 1) + 0.5) / (cutoff + 1)
-    t = np.cos(theta)
-    project = np.cos(np.outer(np.arange(cutoff + 1), theta)) * (2.0 / (cutoff + 1))
-    project[0] /= 2.0
-    conv = np.zeros((cutoff + 1,) * 3)
-    rows = np.full((cutoff + 1,) * 2, tri_dim(cutoff))
-    for m in range(cutoff + 1):
-        rows[m, : cutoff + 1 - m], radial = zip(*_radial_factors(t, m, cutoff))
-        values = np.array(radial).T * ((1.0 - t) / 2.0)[:, None] ** m
-        conv[m, :, : cutoff + 1 - m] = project @ values
-    return conv, rows
-
-
-@pytest.mark.parametrize("cutoff", [0, 1, 7, 31, 63])
-def test_conversion_matches_per_order_build(cutoff):
-    conv, rows = _conversion(cutoff)
-    want_conv, want_rows = _conversion_by_order(cutoff)
-    assert np.array_equal(rows, want_rows)
-    assert conv.shape == want_conv.shape
-    assert np.abs(conv - want_conv).max() <= 1e-15 * np.abs(want_conv).max()
 
 
 def test_expansion_values_rejects_bad_input():

@@ -361,15 +361,14 @@ def test_transform_roundtrip_tolerance_exit_code(tmp_path, capsys, monkeypatch):
     out = tmp_path / "tree.json"
     monkeypatch.setattr(cli.transform, "relative_difference", lambda *a, **k: 1e-6)
     code = cli.main(
-        ["transform", "--roundtrip", "-j", "2", "--input", str(f_path), "--tol", "1e-8",
-         "--out", str(out)]
+        ["transform", "--roundtrip", "-j", "2", "--input", str(f_path), "--out", str(out)]
     )
     assert code == 3
     captured = capsys.readouterr()
     # the stdout lines stay those of a passing run
     assert captured.out.splitlines()[1:] == [f"wrote {out}", "round-trip residual: 1.000e-06"]
     assert captured.err == (
-        "tolerance failure: round-trip residual 1.000e-06 exceeds tolerance 1.0e-08\n"
+        "tolerance failure: round-trip residual 1.000e-06 exceeds tolerance 1.0e-12\n"
     )
 
 
@@ -483,14 +482,6 @@ def test_zero_tolerance_is_refused(tmp_path, capsys):
     )
 
 
-def test_transform_zero_tolerance_is_refused(tmp_path, capsys):
-    _refused(
-        tmp_path, capsys, ["transform", "--roundtrip", "-j", "1", "--input", "{input}",
-                           "--tol", "0"],
-        "validation error: tolerance must be positive",
-    )
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -503,10 +494,6 @@ def test_transform_zero_tolerance_is_refused(tmp_path, capsys):
         (["diagnostics", "-j", "1", "--tol", "nan"],
          "validation error: tolerance must be finite"),
         (["diagnostics", "-j", "1", "--tol", "inf"],
-         "validation error: tolerance must be finite"),
-        (["transform", "--decompose", "-j", "1", "--input", "{input}", "--tol", "nan"],
-         "validation error: tolerance must be finite"),
-        (["transform", "--roundtrip", "-j", "1", "--input", "{input}", "--tol=-inf"],
          "validation error: tolerance must be finite"),
     ],
 )
