@@ -143,19 +143,20 @@ def basis_eval(idx, x) -> float:
     return norm * radial * omx**m * angular
 
 
-def _checked_points(points, validate: bool) -> np.ndarray:
-    """Points as a float (n, 2) array, optionally checked against the simplex."""
+def _checked_points(points, noun: str = "point") -> np.ndarray:
+    """Points as a float (n, 2) array, checked against the simplex; an error
+    counts the outside ones as noun(s)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError("points must have shape (n, 2)")
-    if validate:
-        bad = (
-            (pts[:, 0] < -SIMPLEX_TOL)
-            | (pts[:, 1] < -SIMPLEX_TOL)
-            | (pts[:, 0] + pts[:, 1] > 1.0 + SIMPLEX_TOL)
-        )
-        if bad.any():
-            raise DomainError(f"{int(bad.sum())} point(s) outside the simplex")
+    # written as "not inside", so a NaN coordinate is refused too
+    inside = (
+        (pts[:, 0] >= -SIMPLEX_TOL)
+        & (pts[:, 1] >= -SIMPLEX_TOL)
+        & (pts[:, 0] + pts[:, 1] <= 1.0 + SIMPLEX_TOL)
+    )
+    if not inside.all():
+        raise DomainError(f"{int((~inside).sum())} {noun}(s) outside the simplex")
     return pts
 
 
@@ -174,7 +175,7 @@ def _radial_factors(t: np.ndarray, m: int, cutoff: int):
         yield linear_index(ell, m), math.sqrt((ell + 1) * (2 * m + 1)) * jac1
 
 
-def basis_matrix(points, cutoff: int, validate: bool = True) -> np.ndarray:
+def basis_matrix(points, cutoff: int) -> np.ndarray:
     """Table of all basis values with degree <= cutoff at many points.
 
     Returns shape (npoints, tri_dim(cutoff)), columns in degree-major (ell, m)
@@ -182,7 +183,7 @@ def basis_matrix(points, cutoff: int, validate: bool = True) -> np.ndarray:
     array and returned as its transposed view, so each basis member is one
     contiguous row.  Cost is O(npoints * tri_dim(cutoff)) recurrence work.
     """
-    pts = _checked_points(points, validate)
+    pts = _checked_points(points)
     t = 2.0 * pts[:, 0] - 1.0
     out = np.empty((tri_dim(cutoff), pts.shape[0]))
     angular, weight = collapsed_factors(pts, cutoff)[1], np.ones(len(pts))
@@ -200,12 +201,16 @@ def collapsed_factors(points, cutoff: int) -> tuple:
 
     Member (ell, m) is g_lm(x1) * Pv[m], g_lm of degree ell and carrying
     (1-x1)^m, so Pv[m >= 1] is 0 at the x1 = 1 corner, the continuous limit.
+    The ratio is clipped to [-1, 1], which moves x2 onto the triangle: near
+    that corner a point within SIMPLEX_TOL of it can put the ratio far
+    outside, where Pv[m] grows like |ratio|^m and g_lm * Pv[m] loses every
+    digit.
     """
     pts = np.asarray(points, dtype=float)
     omx = 1.0 - pts[:, 0]
     corner = omx < _CORNER_EPS
     t = 2.0 * pts[:, 0] - 1.0
-    ratio = 2.0 * pts[:, 1] / np.where(corner, 1.0, omx) - 1.0
+    ratio = np.clip(2.0 * pts[:, 1] / np.where(corner, 1.0, omx) - 1.0, -1.0, 1.0)
     tu = np.ones((cutoff + 1, pts.shape[0]))
     pv = np.ones_like(tu)
     tu[1:2], pv[1:2] = t, ratio
@@ -295,7 +300,7 @@ def expansion_values(points, coeffs, cutoff: int) -> np.ndarray:
     runs over blocks of 8192 points, so memory stays O(npoints + cutoff^3).
     Real or complex coefficients.
     """
-    pts = _checked_points(points, validate=True)
+    pts = _checked_points(points)
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (tri_dim(cutoff),):
         raise ValueError(

@@ -96,6 +96,46 @@ TREE_SCHEMA = {
     "additionalProperties": False,
 }
 
+# json.load reads 1e400 as inf and 10**400 as an int beyond the float range
+_FINITE = {"type": "number", "minimum": -sys.float_info.max, "maximum": sys.float_info.max}
+
+_SYMBOL = {
+    "type": "object",
+    "required": ["pieces", "support"],
+    "properties": {
+        "pieces": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["lo", "hi", "kind"],
+                "properties": {
+                    "lo": _FINITE,
+                    "hi": _FINITE,
+                    "kind": {"enum": ["const", "cos_nu", "sin_nu", "cos2_nu", "cossin_nu"]},
+                    "value": _FINITE,
+                    "scale": _FINITE,
+                    "offset": _FINITE,
+                },
+            },
+        },
+        "support": {"type": "array", "items": _FINITE, "minItems": 2, "maxItems": 2},
+        "half_period": {"type": "boolean"},
+    },
+}
+
+# unknown keys are ignored
+BANK_SCHEMA = {
+    "type": "object",
+    "required": ["low", "highs", "scaling_low", "scaling_highs"],
+    "properties": {
+        "name": {"type": "string"},
+        "low": _SYMBOL,
+        "highs": {"type": "array", "items": _SYMBOL},
+        "scaling_low": _SYMBOL,
+        "scaling_highs": {"type": "array", "items": _SYMBOL},
+    },
+}
+
 # json.load yields exactly these types for a JSON number; bool is excluded,
 # as jsonschema's "number" excludes it
 _NUMERIC = (int, float)
@@ -244,9 +284,13 @@ def _load_json(path: str) -> dict:
 def _load_bank(name: str) -> filters.FilterBank:
     if name == filters.DEFAULT_BANK_NAME:
         return filters.default_bank()
-    if os.path.exists(name):
-        return filters.bank_from_dict(_load_json(name))
-    raise ValidationError(f"unknown bank {name!r} (not the shipped name or a file)")
+    if not os.path.exists(name):
+        raise ValidationError(f"unknown bank {name!r} (not the shipped name or a file)")
+    doc = _load_json(name)
+    # the shipped bank is stored by name only
+    if doc != {"name": filters.DEFAULT_BANK_NAME}:
+        Draft202012Validator(BANK_SCHEMA).validate(doc)
+    return filters.bank_from_dict(doc)
 
 
 def _build_system(args, levels: int, rules: str = "kronecker") -> transform.FrameletSystem:

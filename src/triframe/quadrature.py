@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .basis import (
-    SIMPLEX_TOL,
     DomainError,
+    _checked_points,
     basis_matrix,
     collapsed_factors,
     degree_cutoff,
@@ -75,14 +75,7 @@ class QuadratureRule:
             raise ValueError("weights must be finite")
         if np.any(self.weights == 0.0):
             raise ValueError("weights must be nonzero")
-        # written as "not inside", so a NaN coordinate is refused too
-        inside = (
-            (self.nodes[:, 0] >= -SIMPLEX_TOL)
-            & (self.nodes[:, 1] >= -SIMPLEX_TOL)
-            & (self.nodes.sum(axis=1) <= 1.0 + SIMPLEX_TOL)
-        )
-        if not inside.all():
-            raise DomainError(f"{int((~inside).sum())} node(s) outside the simplex")
+        _checked_points(self.nodes, "node")
         if self.kind == KIND_KRONECKER:
             if self.level is None:
                 raise ValueError("lattice rules carry a level")
@@ -125,7 +118,7 @@ class QuadratureRule:
     def weighted_basis(self, cutoff: int) -> np.ndarray:
         """sqrt(weight)-scaled basis table, shape (N, tri_dim(cutoff)), built
         on each call: gram_matrix takes its symmetric product and caches that."""
-        table = basis_matrix(self.nodes, cutoff, validate=False)
+        table = basis_matrix(self.nodes, cutoff)
         table *= self.sqrt_weights()[:, None]
         return table
 
@@ -313,7 +306,7 @@ def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
             # the basis is real: table.T @ table lets BLAS take the symmetric (SYRK) path
             entries = table.T @ table
         else:
-            table = basis_matrix(rule.nodes, cutoff, validate=False)
+            table = basis_matrix(rule.nodes, cutoff)
             entries = table.T @ (rule.weights[:, None] * table)
         entries.flags.writeable = False
         rule._gram_cache[cutoff] = entries
@@ -343,12 +336,12 @@ def generalized_tightness_residual(
     xi = lambda_vector(cutoff) / 2.0**j
     low = bank.low(xi)
     scaling_low = bank.scaling_low(xi)
-    combo = np.outer(np.conj(low), low) * gram_lo
+    combo = np.outer(low, low) * gram_lo
     for high in bank.highs:
         hv = high(xi)
-        combo += np.outer(np.conj(hv), hv) * gram_hi
+        combo += np.outer(hv, hv) * gram_hi
     defect = np.abs(combo - gram_hi)
-    qualifies = np.outer(np.conj(scaling_low), scaling_low) != 0.0
+    qualifies = np.outer(scaling_low, scaling_low) != 0.0
     if not qualifies.any():
         return 0.0
     return float(defect[qualifies].max())

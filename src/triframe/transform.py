@@ -11,7 +11,7 @@ band twice as wide as the low-pass one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -46,23 +46,19 @@ def _synthesis(rule: QuadratureRule, u: SpectralVector, fixed_order: bool = Fals
 
 @dataclass(eq=False)
 class CoefficientSequence:
-    """Framelet coefficients over one rule's nodes plus their spectrum.
+    """Framelet coefficients over one rule's nodes, held as their spectrum.
 
     The point values are synthesized from the spectrum on their first read,
     one engine call per sequence, and kept.
     """
 
     rule: QuadratureRule
-    spectral: SpectralVector | None
-    _values: np.ndarray | None = None
+    spectral: SpectralVector
+    _values: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self._values is not None:
-            self._values = np.ascontiguousarray(self._values, dtype=complex)
-            if self._values.shape != (self.rule.size,):
-                raise ValueError("values must match the rule's node count")
-        elif self.spectral is None:
-            raise ValueError("a sequence needs spectral data or explicit values")
+        if self.spectral is None:
+            raise ValueError("a sequence needs its spectrum")
 
     @property
     def level(self) -> int:
@@ -153,13 +149,9 @@ def _symbol_cutoff(symbol: SpectralSymbol, j: int, base_cutoff: int) -> int:
     return min(base_cutoff, max_degree_within(2.0**j * symbol.support[1]))
 
 
-def _filtered_spectrum(
-    f: SpectralVector, symbol: SpectralSymbol, j: int, conjugate: bool = True
-) -> SpectralVector:
+def _filtered_spectrum(f: SpectralVector, symbol: SpectralSymbol, j: int) -> SpectralVector:
     cut = _symbol_cutoff(symbol, j, f.cutoff)
-    gains = symbol(lambda_vector(cut) / 2.0**j).astype(complex)
-    if conjugate:
-        gains = np.conj(gains)
+    gains = symbol(lambda_vector(cut) / 2.0**j)
     return SpectralVector(cut, gains * f.coeffs[: tri_dim(cut)])
 
 
@@ -189,24 +181,16 @@ def analyze(sys: FrameletSystem, f: SpectralVector, j: int):
     return low, highs
 
 
-def convolve(
-    v: CoefficientSequence, symbol: SpectralSymbol, conjugate: bool = False
-) -> CoefficientSequence:
+def convolve(v: CoefficientSequence, symbol: SpectralSymbol) -> CoefficientSequence:
     """Multiply the spectrum by symbol values at eigenvalue / 2**level.
 
-    With conjugate=True this applies the adjoint mask; for the shipped
-    real-valued bank conjugation is the identity but is applied regardless.
+    Every symbol is real, so the mask is its own adjoint.
     """
-    if v.spectral is None:
-        raise ValueError("sequence carries no spectral representation")
-    out = _filtered_spectrum(v.spectral, symbol, v.level, conjugate=conjugate)
-    return CoefficientSequence(v.rule, out)
+    return CoefficientSequence(v.rule, _filtered_spectrum(v.spectral, symbol, v.level))
 
 
 def _moved(sys: FrameletSystem, v: CoefficientSequence, j: int) -> CoefficientSequence:
     """v's spectrum truncated to eigenvalues <= 2**(v.level - 1), on the level-j rule."""
-    if v.spectral is None:
-        raise ValueError("sequence carries no spectral representation")
     cut = min(v.spectral.cutoff, max_degree_within(2.0 ** (v.level - 1)))
     return CoefficientSequence(sys.rule(j), v.spectral.resized(cut))
 
@@ -228,8 +212,8 @@ def decompose(sys: FrameletSystem, v: CoefficientSequence):
     j = v.level
     if j < 1:
         raise ValueError("cannot decompose below level 1")
-    low = downsample(sys, convolve(v, sys.bank.low, conjugate=True))
-    highs = [convolve(v, sym, conjugate=True) for sym in sys.bank.highs]
+    low = downsample(sys, convolve(v, sys.bank.low))
+    highs = [convolve(v, sym) for sym in sys.bank.highs]
     return low, highs
 
 
@@ -373,8 +357,8 @@ def parseval_report(sys: FrameletSystem, f: SpectralVector, levels: int) -> dict
 def _framelet_coefficients(
     sys: FrameletSystem, kind: str, j: int, k: int, n: int
 ) -> SpectralVector:
-    """Spectral expansion of one framelet: symbol gains times the conjugated
-    weighted basis row at its translation node."""
+    """Spectral expansion of one framelet: symbol gains times the weighted
+    basis row at its translation node."""
     if kind == "low":
         rule = sys.rule(j)
         symbol = sys.bank.scaling_low
@@ -390,7 +374,7 @@ def _framelet_coefficients(
     cut = max_degree_within(2.0**j * symbol.support[1])
     gains = symbol(lambda_vector(cut) / 2.0**j)
     row = basis_matrix(rule.nodes[k : k + 1], cut)[0] * np.sqrt(rule.weights[k])
-    return SpectralVector(cut, gains * np.conj(row))
+    return SpectralVector(cut, gains * row)
 
 
 def framelet_eval(
@@ -481,12 +465,17 @@ def sequence_to_dict(
 
 
 def sequence_from_dict(doc: dict, sys: FrameletSystem) -> CoefficientSequence:
+    """The sequence of a document valid under cli.SEQUENCE_SCHEMA.  Its point
+    values v are checked for form, finite and one per node, and not read back:
+    the values are the spectrum's synthesis."""
     level = int(doc["rule_ref"].rsplit("/", 1)[1])
     rule = sys.rule(level)
+    if _pairs_to_array(doc["v"]).shape != (rule.size,):
+        raise ValueError("values must match the rule's node count")
     spectral = SpectralVector(
         int(doc["spectral"]["cutoff"]), _pairs_to_array(doc["spectral"]["coeffs"])
     )
-    return CoefficientSequence(rule, spectral, _pairs_to_array(doc["v"]))
+    return CoefficientSequence(rule, spectral)
 
 
 def tree_to_dict(tree: FrameletTree, *, fixed_order: bool = False) -> dict:

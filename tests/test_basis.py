@@ -161,10 +161,39 @@ def test_expansion_values_rejects_bad_input():
         expansion_values([(0.8, 0.8)], np.ones(tri_dim(3)), 3)
 
 
+def test_expansion_values_near_the_x1_corner_match_scalar_oracle():
+    # inside the simplex tolerance; 2*x2/(1-x1) - 1 reaches about +-19..+-37
+    pts = np.array([(1 - 1e-13, 9.9e-13), (1 - 1e-13, -9e-13), (1 - 5e-14, 9e-13)])
+    cutoff = 31
+    coeffs = np.random.default_rng(0).standard_normal(tri_dim(cutoff))
+    indices = [(ell, m) for ell in range(cutoff + 1) for m in range(ell + 1)]
+
+    def oracle(points):
+        return np.array([sum(c * basis_eval(i, p) for c, i in zip(coeffs, indices))
+                         for p in points])
+
+    got = expansion_values(pts, coeffs, cutoff)
+    # the clipped ratio moves x2, by under 1e-12, onto the triangle's edge
+    moved = np.column_stack((pts[:, 0], np.clip(pts[:, 1], 0.0, 1.0 - pts[:, 0])))
+    want = oracle(moved)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the degree-31 sum changes by ~6e-10 relative over that move
+    want = oracle(pts)
+    assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_nan_point_is_refused():
+    for pts in ([(np.nan, 0.2)], [(0.2, np.nan)], [(0.1, 0.1), (np.nan, np.nan)]):
+        with pytest.raises(DomainError, match="outside the simplex"):
+            expansion_values(pts, np.ones(tri_dim(3)), 3)
+        with pytest.raises(DomainError, match="outside the simplex"):
+            basis_matrix(pts, 3)
+
+
 def test_orthonormality_under_exact_rule():
     # reference-rule integral of products reproduces the identity
     rule = gauss_reference_rule(24)
-    table = basis_matrix(rule.nodes, 12, validate=False)
+    table = basis_matrix(rule.nodes, 12)
     gram = (table * rule.weights[:, None]).T @ table
     assert np.abs(gram - np.eye(tri_dim(12))).max() < 1e-10
 

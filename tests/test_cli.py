@@ -331,9 +331,9 @@ def test_reference_diagnostics_builds_each_table_once(tmp_path, monkeypatch):
     original = quadrature.basis_matrix
     built = []
 
-    def counting(points, cutoff, validate=True):
+    def counting(points, cutoff):
         built.append((points.tobytes(), cutoff))
-        return original(points, cutoff, validate=validate)
+        return original(points, cutoff)
 
     monkeypatch.setattr(quadrature, "basis_matrix", counting)
     out = tmp_path / "ref.json"
@@ -515,10 +515,11 @@ _BANK_DOC = bank_to_dict(dataclasses.replace(default_bank(), name="x"))
 @pytest.mark.parametrize(
     "bank, message",
     [
-        ({"name": "x", "low": {}}, "error: bank field highs is missing"),
-        ({**_BANK_DOC, "low": {}}, "error: bank field low.pieces is missing"),
+        ({"name": "x", "low": {}}, "validation error: 'highs' is a required property"),
+        ({**_BANK_DOC, "low": {}},
+         "validation error at /low: 'pieces' is a required property"),
         ({**_BANK_DOC, "low": {**_BANK_DOC["low"], "pieces": 3}},
-         "error: bank field low.pieces must be an array"),
+         "validation error at /low/pieces: 3 is not of type 'array'"),
     ],
 )
 def test_malformed_bank_file_is_refused(tmp_path, capsys, bank, message):

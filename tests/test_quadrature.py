@@ -183,7 +183,7 @@ def test_negative_weight_rule():
         weights=np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0,
     )
     assert exactness_degree(rule, 1e-12) == 3
-    table = basis_matrix(rule.nodes, 2, validate=False)
+    table = basis_matrix(rule.nodes, 2)
     gram = gram_matrix(rule, 2).entries
     assert_allclose(gram, table.T @ np.diag(rule.weights) @ table, rtol=0, atol=1e-14)
     # exact to degree 3, so the degree-1 block is the identity

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_spectral
 from triframe.basis import (
+    DomainError,
     SpectralVector,
     basis_eval,
     basis_matrix,
@@ -86,7 +87,8 @@ def test_sequence_values_match_displayed_sum(sys_k5, rng):
 def test_sequence_validation(sys_k5):
     with pytest.raises(ValueError):
         CoefficientSequence(sys_k5.rule(2), None)
-    with pytest.raises(ValueError):
+    # a sequence is its spectrum: point values are never passed in
+    with pytest.raises(TypeError):
         CoefficientSequence(sys_k5.rule(2), _delta(), np.zeros(3, dtype=complex))
 
 
@@ -158,6 +160,11 @@ def test_framelet_values_match_table_path(sys_k5, bank):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_framelet_values_refuse_a_nan_point(sys_k5):
+    with pytest.raises(DomainError, match="outside the simplex"):
+        framelet_values(sys_k5, "low", 2, 5, [(0.2, 0.2), (np.nan, 0.2)])
+
+
 def test_framelet_values_build_no_table(bank):
     sys_ = kronecker_system(bank, 5)
     framelet_values(sys_, "high", 4, 100, triangle_grid(64), n=1)
@@ -225,7 +232,7 @@ def test_convolve_identity_symbol(sys_k5, rng):
 
 def test_convolve_constant_under_lowpass(sys_k5, bank):
     v = CoefficientSequence(sys_k5.rule(2), _delta())
-    out = convolve(v, bank.low, conjugate=True)
+    out = convolve(v, bank.low)
     assert out.spectral[(0, 0)] == 1.0 + 0j
 
 
@@ -233,19 +240,17 @@ def test_convolve_energy_partition(sys_k5, bank, rng):
     # mask partition applied coefficient-wise splits the spectral energy
     j = 4
     v = CoefficientSequence(sys_k5.rule(j), random_spectral(degree_cutoff(j), rng))
-    total = np.linalg.norm(convolve(v, bank.low, conjugate=True).spectral.coeffs) ** 2
+    total = np.linalg.norm(convolve(v, bank.low).spectral.coeffs) ** 2
     for sym in bank.highs:
-        total += np.linalg.norm(convolve(v, sym, conjugate=True).spectral.coeffs) ** 2
+        total += np.linalg.norm(convolve(v, sym).spectral.coeffs) ** 2
     want = np.linalg.norm(v.spectral.coeffs) ** 2
     assert abs(total - want) <= 1e-12 * want
 
 
 def test_convolve_requires_spectral(sys_k5, bank):
-    v = CoefficientSequence(
-        sys_k5.rule(2), None, np.zeros(lattice_size(2), dtype=complex)
-    )
-    with pytest.raises(ValueError):
-        convolve(v, bank.low)
+    # a sequence without a spectrum cannot be built, so never reaches convolve
+    with pytest.raises(ValueError, match="needs its spectrum"):
+        convolve(CoefficientSequence(sys_k5.rule(2), None), bank.low)
 
 
 def test_downsample_truncates_and_resynthesizes(sys_k5):
@@ -519,6 +524,17 @@ def test_sequence_serialization_round_trip(sys_k5, rng):
     assert np.array_equal(back.values, v.values)
     assert np.array_equal(back.spectral.coeffs, v.spectral.coeffs)
     assert back.level == v.level
+
+
+def test_loaded_sequence_checks_the_form_of_its_values_and_synthesizes_them(sys_k5, rng):
+    v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(3), rng), 3)
+    doc = json.loads(json.dumps(sequence_to_dict(v)))
+    # the values are checked for form and not read back
+    doc["v"] = [[0.0, 0.0]] * len(doc["v"])
+    assert np.array_equal(sequence_from_dict(doc, sys_k5).values, v.values)
+    for bad in (doc["v"][1:], [[1.0, 2.0, 3.0]] * len(doc["v"]), [[10**400, 0]] * len(doc["v"])):
+        with pytest.raises(ValueError):
+            sequence_from_dict({**doc, "v": bad}, sys_k5)
 
 
 def test_tree_serialization_round_trip(sys_k5, rng):
