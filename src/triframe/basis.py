@@ -87,11 +87,6 @@ def in_simplex(x, tol: float = SIMPLEX_TOL) -> bool:
     return x1 >= -tol and x2 >= -tol and x1 + x2 <= 1.0 + tol
 
 
-def require_in_simplex(x, tol: float = SIMPLEX_TOL) -> None:
-    if not in_simplex(x, tol):
-        raise DomainError(f"point ({float(x[0])}, {float(x[1])}) outside the simplex")
-
-
 def _jacobi_next(n: int, tau: float, gamma: float, t, p1, p0):
     """One forward step of the Jacobi three-term recurrence (degree n >= 2)."""
     c = 2.0 * n + tau + gamma
@@ -128,8 +123,7 @@ def basis_eval(idx, x) -> float:
     ell, m = idx
     if not 0 <= m <= ell:
         raise DomainError(f"invalid basis index ({ell}, {m})")
-    require_in_simplex(x)
-    x1, x2 = float(x[0]), float(x[1])
+    ((x1, x2),) = _checked_points(x).tolist()
     norm = math.sqrt((ell + 1) * (2 * m + 1))
     radial = float(jacobi_eval(2.0 * m + 1.0, 0.0, ell - m, 2.0 * x1 - 1.0))
     if m == 0:
@@ -322,8 +316,7 @@ def laplace_beltrami_apply(f: Callable, x, h: float) -> float:
     """
     if h <= 0:
         raise DomainError("step must be positive")
-    x1, x2 = float(x[0]), float(x[1])
-    require_in_simplex((x1, x2))
+    ((x1, x2),) = _checked_points(x).tolist()
     offsets = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
     for i, k in offsets:
         if not in_simplex((x1 + i * h, x2 + k * h), tol=0.0):

@@ -96,7 +96,7 @@ TREE_SCHEMA = {
     "additionalProperties": False,
 }
 
-# json.load reads 1e400 as inf and 10**400 as an int beyond the float range
+# json.load reads 1e400 as inf
 _FINITE = {"type": "number", "minimum": -sys.float_info.max, "maximum": sys.float_info.max}
 
 _SYMBOL = {
@@ -275,10 +275,19 @@ def _reject_constant(token: str):
     raise ValidationError(f"non-finite number {token} in input")
 
 
+def _parse_int(token: str) -> int:
+    # float() of the text, unlike int(), takes any number of digits
+    if math.isinf(float(token)):
+        digits = len(token.lstrip("-"))
+        raise ValidationError(f"non-finite number in input: an integer of {digits} digits")
+    return int(token)
+
+
 def _load_json(path: str) -> dict:
-    """Parse a JSON document, refusing the NaN and Infinity extensions."""
+    """Parse a JSON document, refusing the NaN and Infinity extensions and
+    integers beyond the float range."""
     with open(path) as handle:
-        return json.load(handle, parse_constant=_reject_constant)
+        return json.load(handle, parse_constant=_reject_constant, parse_int=_parse_int)
 
 
 def _load_bank(name: str) -> filters.FilterBank:
@@ -287,10 +296,11 @@ def _load_bank(name: str) -> filters.FilterBank:
     if not os.path.exists(name):
         raise ValidationError(f"unknown bank {name!r} (not the shipped name or a file)")
     doc = _load_json(name)
-    # the shipped bank is stored by name only
-    if doc != {"name": filters.DEFAULT_BANK_NAME}:
-        Draft202012Validator(BANK_SCHEMA).validate(doc)
-    return filters.bank_from_dict(doc)
+    Draft202012Validator(BANK_SCHEMA).validate(doc)
+    bank = filters.bank_from_dict(doc)
+    if bank.name == filters.DEFAULT_BANK_NAME and bank != filters.default_bank():
+        raise ValidationError(f"the name {bank.name!r} is reserved for the shipped bank")
+    return bank
 
 
 def _build_system(args, levels: int, rules: str = "kronecker") -> transform.FrameletSystem:
@@ -323,12 +333,7 @@ def _spectral_from_doc(doc: dict, levels: int) -> basis.SpectralVector:
         raise ValidationError(
             f"spectral cutoff {cutoff} exceeds the level-{levels} cap {cap}"
         )
-    coeffs = transform._pairs_to_array(doc["coeffs"])
-    if coeffs.shape[0] != basis.tri_dim(cutoff):
-        raise ValidationError(
-            f"expected {basis.tri_dim(cutoff)} coefficients for cutoff {cutoff}"
-        )
-    return basis.SpectralVector(cutoff, coeffs)
+    return basis.SpectralVector(cutoff, transform._pairs_to_array(doc["coeffs"]))
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -372,11 +377,11 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
     if args.level < 1:
         raise ValidationError("diagnostics needs level >= 1")
     _check_table_budget(args.command, args.level)
-    bank = _load_bank(args.bank)
+    sys_ = _build_system(args, args.level, args.rules)
+    bank = sys_.bank
     grid = np.linspace(0.0, 0.5, 10001)
     partition = filters.check_partition(bank, grid)
     refinement = filters.check_refinement(bank, grid)
-    sys_ = _build_system(args, args.level, args.rules)
 
     levels = []
     cap = 2 * basis.degree_cutoff(args.level) + 2

@@ -239,9 +239,6 @@ def _symbol_from_dict(doc: dict) -> SpectralSymbol:
 
 
 def bank_to_dict(bank: FilterBank) -> dict:
-    """Serialize; the shipped bank is stored by name only."""
-    if bank.name == DEFAULT_BANK_NAME:
-        return {"name": DEFAULT_BANK_NAME}
     return {
         "name": bank.name,
         "low": _symbol_to_dict(bank.low),
@@ -252,10 +249,8 @@ def bank_to_dict(bank: FilterBank) -> dict:
 
 
 def bank_from_dict(doc: dict) -> FilterBank:
-    """Inverse of bank_to_dict.  Other than the shipped bank's name, doc must be
-    valid under cli.BANK_SCHEMA; unknown keys are ignored."""
-    if doc == {"name": DEFAULT_BANK_NAME}:
-        return default_bank()
+    """Inverse of bank_to_dict; doc must be valid under cli.BANK_SCHEMA, and
+    unknown keys are ignored."""
     return FilterBank(
         low=_symbol_from_dict(doc["low"]),
         highs=tuple(map(_symbol_from_dict, doc["highs"])),

@@ -80,8 +80,10 @@ class QuadratureRule:
             if self.level is None:
                 raise ValueError("lattice rules carry a level")
             n = self.size
-            if n < 4**self.level:
-                raise ValueError("lattice must have at least 2**(2j) nodes")
+            if n != lattice_size(self.level):
+                raise ValueError(
+                    f"level-{self.level} lattice must have {lattice_size(self.level)} nodes"
+                )
             if not np.allclose(self.weights, 1.0 / n, rtol=0.0, atol=0.0):
                 raise ValueError("lattice weights must all equal 1/N")
 

@@ -30,7 +30,7 @@ from .basis import (
 from .filters import FilterBank, SpectralSymbol
 from . import filters as _filters
 from . import quadrature as _quadrature
-from .quadrature import KIND_KRONECKER, QuadratureRule, lattice_size
+from .quadrature import QuadratureRule
 
 #: residual allowed for the mask partition identity of a usable bank
 PARTITION_TOL = 1e-12
@@ -94,10 +94,6 @@ class FrameletSystem:
         for j, rule in enumerate(self.rules):
             if rule.level != j:
                 raise ValueError(f"rule at position {j} carries level {rule.level}")
-            if rule.kind == KIND_KRONECKER and rule.size != lattice_size(j):
-                raise ValueError(
-                    f"level-{j} lattice must have {lattice_size(j)} nodes"
-                )
         residual = _filters.check_partition(self.bank, _PARTITION_GRID)
         if residual > PARTITION_TOL:
             raise ValueError(
@@ -133,14 +129,12 @@ def kronecker_system(
     return FrameletSystem(bank, rules)
 
 
-def reference_system(bank: FilterBank, levels: int, degree: int | None = None) -> FrameletSystem:
-    """Framelet system whose every level uses a polynomial-exact rule.
+def reference_system(bank: FilterBank, levels: int) -> FrameletSystem:
+    """Framelet system whose every level uses one polynomial-exact rule.
 
-    Used as the oracle family; defaults to exactness degree 2 * degree_cutoff(levels).
+    Used as the oracle family: exact to degree 2 * degree_cutoff(levels).
     """
-    if degree is None:
-        degree = 2 * degree_cutoff(levels)
-    base = _quadrature.gauss_reference_rule(degree)
+    base = _quadrature.gauss_reference_rule(2 * degree_cutoff(levels))
     return FrameletSystem(bank, [base.with_level(j) for j in range(levels + 1)])
 
 
@@ -169,10 +163,6 @@ def analyze(sys: FrameletSystem, f: SpectralVector, j: int):
     the system's top level.
     """
     low = analyze_lowpass(sys, f, j)
-    if j + 1 > sys.J:
-        raise IndexError(
-            f"high-pass analysis at level {j} needs the level-{j + 1} rule"
-        )
     rule_hi = sys.rule(j + 1)
     highs = [
         CoefficientSequence(rule_hi, _filtered_spectrum(f, sym, j))

@@ -108,7 +108,7 @@ def test_criterion_05_exact_round_trip(bank, kron6):
     worst = 0.0
     elapsed_j6 = 0.0
     for j in range(1, 7):
-        ref_sys = reference_system(bank, j, degree=2 * degree_cutoff(j))
+        ref_sys = reference_system(bank, j)
         start = time.perf_counter()
         for _ in range(10):
             f = random_spectral(degree_cutoff(j), rng)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -240,6 +239,18 @@ def test_transform_rejects_non_finite_numbers(tmp_path, capsys, coeffs, message)
     )
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transform_refuses_a_wrong_coefficient_count(tmp_path, capsys):
+    f_path = tmp_path / "f.json"
+    f_path.write_text('{"cutoff": 2, "coeffs": [[1, 0], [0, 0]]}')
+    out = tmp_path / "t.json"
+    code = cli.main(
+        ["transform", "--roundtrip", "-j", "3", "--input", str(f_path), "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: expected 6 coefficients for cutoff 2, got (2,)\n"
     assert not out.exists()
 
 
@@ -509,7 +520,10 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
-_BANK_DOC = bank_to_dict(dataclasses.replace(default_bank(), name="x"))
+_BANK_DOC = bank_to_dict(default_bank())
+# the shipped name over a low-pass whose flat piece is halved
+_MISLABELLED = json.loads(json.dumps(_BANK_DOC))
+_MISLABELLED["low"]["pieces"][0]["value"] = 0.5
 
 
 @pytest.mark.parametrize(
@@ -520,6 +534,10 @@ _BANK_DOC = bank_to_dict(dataclasses.replace(default_bank(), name="x"))
          "validation error at /low: 'pieces' is a required property"),
         ({**_BANK_DOC, "low": {**_BANK_DOC["low"], "pieces": 3}},
          "validation error at /low/pieces: 3 is not of type 'array'"),
+        # the shipped bank is picked by name on the command line, not in a file
+        ({"name": "dau2-simplex-r2"}, "validation error: 'low' is a required property"),
+        (_MISLABELLED,
+         "validation error: the name 'dau2-simplex-r2' is reserved for the shipped bank"),
     ],
 )
 def test_malformed_bank_file_is_refused(tmp_path, capsys, bank, message):
@@ -591,6 +609,22 @@ def test_custom_bank_file(tmp_path):
          "--bank", str(bank_path), "--out", str(tmp_path / "t.json")]
     )
     assert code == 0
+
+
+def test_diagnostics_reads_its_bank_file_once(tmp_path, monkeypatch):
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(bank_to_dict(default_bank())))
+    reads = []
+    load = cli._load_json
+
+    def counting(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load_json", counting)
+    argv = ["diagnostics", "-j", "2", "--bank", str(bank_path)]
+    assert cli.main([*argv, "--out", str(tmp_path / "d.json")]) == 0
+    assert reads == [str(bank_path)]
 
 
 def test_unknown_bank_rejected(tmp_path, capsys):

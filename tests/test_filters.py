@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -144,12 +143,11 @@ def test_partition_pointwise(bank, xi):
     assert abs(total - 1.0) <= 1e-12
 
 
-def test_shipped_bank_serializes_by_name(bank):
-    doc = bank_to_dict(bank)
-    assert doc == {"name": "dau2-simplex-r2"}
-    back = bank_from_dict(json.loads(json.dumps(doc)))
-    xi = np.linspace(0, 1, 101)
-    assert np.array_equal(back.scaling_highs[0](xi), bank.scaling_highs[0](xi))
+def test_shipped_bank_round_trips_through_json(bank):
+    # the shipped bank is written in full, like any other
+    doc = json.loads(json.dumps(bank_to_dict(bank)))
+    assert doc["name"] == "dau2-simplex-r2" and len(doc["highs"]) == 2
+    assert bank_from_dict(doc) == bank
 
 
 def test_custom_bank_serialization_round_trip(bank):
@@ -220,9 +218,9 @@ def _refused_bank(tmp_path, capsys, text: str) -> str:
         (["highs", 1], 7, "at /highs/1: 7 is not of type 'object'"),
         (["scaling_highs", 0, "pieces", 0, "lo"], "0",
          "at /scaling_highs/0/pieces/0/lo: '0' is not of type 'number'"),
+        # refused as it is parsed, before any field is known; its digits are not echoed
         (["scaling_low", "support", 1], 10**400,
-         f"at /scaling_low/support/1: {10**400} is greater than the maximum "
-         f"of {sys.float_info.max!r}"),
+         ": non-finite number in input: an integer of 401 digits"),
         (["scaling_low", "support"], [0.0], "at /scaling_low/support: [0.0] is too short"),
         (["low", "half_period"], 1, "at /low/half_period: 1 is not of type 'boolean'"),
         (["highs", 0, "pieces", 1, "kind"], None,
@@ -233,7 +231,7 @@ def _refused_bank(tmp_path, capsys, text: str) -> str:
 def test_malformed_bank_document_names_the_field(
     tmp_path, capsys, bank, path, value, message
 ):
-    doc = bank_to_dict(dataclasses.replace(bank, name="x"))
+    doc = bank_to_dict(bank)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -242,7 +240,9 @@ def test_malformed_bank_document_names_the_field(
     else:
         parent[path[-1]] = value
     err = _refused_bank(tmp_path, capsys, json.dumps(doc))
-    assert err == f"validation error {message}\n"
+    # a message that names no field follows "validation error" directly
+    sep = "" if message.startswith(":") else " "
+    assert err == f"validation error{sep}{message}\n"
 
 
 def test_bank_document_must_be_an_object(tmp_path, capsys):
@@ -252,7 +252,7 @@ def test_bank_document_must_be_an_object(tmp_path, capsys):
 
 def test_bank_number_beyond_float_range_is_refused(tmp_path, capsys, bank):
     # json.load reads 1e400 as inf
-    text = json.dumps(bank_to_dict(dataclasses.replace(bank, name="x")))
+    text = json.dumps(bank_to_dict(bank))
     text = text.replace('"hi": 0.125', '"hi": 1e400', 1)
     err = _refused_bank(tmp_path, capsys, text)
     assert err == (
@@ -262,7 +262,7 @@ def test_bank_number_beyond_float_range_is_refused(tmp_path, capsys, bank):
 
 
 def test_bank_document_ignores_unknown_keys(tmp_path, bank):
-    doc = bank_to_dict(dataclasses.replace(bank, name="x"))
+    doc = bank_to_dict(bank)
     doc["comment"] = "unknown keys are ignored"
     doc["low"]["pieces"][0]["note"] = 1
     bank_path = tmp_path / "bank.json"

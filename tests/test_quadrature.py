@@ -202,7 +202,7 @@ def test_reference_rule_exactness_degree(j, degree):
     assert exactness_degree(rule, 1e-12, max_degree=2 * degree_cutoff(j) + 2) == degree
 
 
-def test_with_level_shares_tables_and_grams():
+def test_with_level_shares_node_factors_and_grams():
     rule = gauss_reference_rule(8)
     levels = [rule.with_level(j) for j in range(3)]
     factors = levels[0].node_factors(4)

@@ -331,7 +331,7 @@ def test_round_trip_exact_and_kronecker(bank, rng):
             sys_ = (
                 kronecker_system(bank, j)
                 if family == "kronecker"
-                else reference_system(bank, j, degree=2 * degree_cutoff(j))
+                else reference_system(bank, j)
             )
             v = CoefficientSequence(sys_.rule(j), random_spectral(degree_cutoff(j), rng))
             low, highs = decompose(sys_, v)
@@ -592,9 +592,9 @@ def test_bit_reproducible_mode(sys_k5, rng):
 def test_system_validation(bank):
     from triframe.transform import FrameletSystem
 
-    rules = [kronecker_lattice(0), kronecker_lattice(1).with_level(0)]
-    with pytest.raises(ValueError):
-        FrameletSystem(bank, rules)
+    # a level-1 lattice labelled level 0 is refused by the rule itself
+    with pytest.raises(ValueError, match="level-0 lattice must have 2 nodes"):
+        FrameletSystem(bank, [kronecker_lattice(0), kronecker_lattice(1).with_level(0)])
 
 
 # -- synthesis: one engine call per sequence, on its first read --
@@ -645,7 +645,7 @@ def test_decompose_keeps_existing_values(sys_k5, rng, synth_calls):
     assert len(synth_calls) == 2
 
 
-def test_decompose_can_leave_its_input_out_of_the_batch(sys_k5, rng, synth_calls):
+def test_reading_one_decompose_output_synthesizes_only_that_output(sys_k5, rng, synth_calls):
     # there are no batches: reading one output synthesizes that output alone
     v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(4), rng), 4)
     _, highs = decompose(sys_k5, v)
@@ -664,7 +664,7 @@ def test_multilevel_decompose_synthesizes_only_what_is_read(sys_k5, rng, synth_c
     assert v._values is None
 
 
-def test_batch_with_mixed_cutoffs_matches_one_member_synthesis(sys_k5, rng):
+def test_sequences_of_mixed_cutoffs_on_one_rule_match_lone_synthesis(sys_k5, rng):
     # sequences of mixed cutoffs on one rule read leading rows of its factors
     rule = sys_k5.rule(4)
     seqs = [
@@ -695,7 +695,7 @@ def test_analyze_synthesizes_each_high_on_its_own_read(sys_k5, rng, synth_calls)
     _assert_own_memory(highs)
 
 
-def test_bit_reproducible_batch_sums_each_member_alone(sys_k5, rng):
+def test_fixed_order_values_ignore_the_width_of_cached_factors(sys_k5, rng):
     # the rule's factors are cached at its full cutoff, wider than one sequence's
     rule = sys_k5.rule(4)
     rule.node_factors(degree_cutoff(4))
