@@ -9,17 +9,15 @@ check command or a round trip.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
-import jsonschema
-from jsonschema import ValidationError, validators
 
 from . import basis, filters, quadrature, transform
 
@@ -35,6 +33,15 @@ ROUNDTRIP_TOL = 1e-12
 
 class ToleranceFailure(Exception):
     """A check command exceeded its numerical tolerance."""
+
+
+class ValidationError(Exception):
+    """A refused input, printed with the JSON path of the offending field, if any."""
+
+    def __init__(self, message: str, absolute_path=()):
+        super().__init__(message)
+        self.message = message
+        self.absolute_path = absolute_path
 
 
 _NUMBER = {"type": "number"}
@@ -148,6 +155,8 @@ def _items(validator, items, instance, schema):
     (message and path) are jsonschema's own.
     """
     if items is not _PAIR and items is not _NUMBER:
+        import jsonschema
+
         yield from jsonschema.Draft202012Validator.VALIDATORS["items"](
             validator, items, instance, schema
         )
@@ -166,9 +175,28 @@ def _items(validator, items, instance, schema):
         yield from validator.descend(instance[i], items, path=i)
 
 
-Draft202012Validator = validators.extend(
-    jsonschema.Draft202012Validator, {"items": _items}
-)
+@functools.cache
+def _validator_class():
+    import jsonschema
+
+    return jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _items})
+
+
+def Draft202012Validator(schema: dict):
+    """jsonschema's Draft 2020-12 validator with the typed ``items`` pass,
+    built on the first call: a command that validates no document never
+    imports jsonschema."""
+    return _validator_class()(schema)
+
+
+def _validate(schema: dict, doc) -> None:
+    """Refuse doc, with jsonschema's message and path, unless it meets schema."""
+    import jsonschema
+
+    try:
+        Draft202012Validator(schema).validate(doc)
+    except jsonschema.ValidationError as exc:
+        raise ValidationError(exc.message, exc.absolute_path) from exc
 
 
 def _cgroup_memory_limits(
@@ -232,9 +260,13 @@ def _resolve_out(out: str | None, default_name: str) -> Path:
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the strings of chunks, in turn, to a temp file renamed to path."""
+    """Write the strings of chunks, in turn, to a temp file renamed to path.
+
+    Mode 0o666 gives the artifact 0o666 & ~umask, as a plain open() would.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
@@ -296,7 +328,7 @@ def _load_bank(name: str) -> filters.FilterBank:
     if not os.path.exists(name):
         raise ValidationError(f"unknown bank {name!r} (not the shipped name or a file)")
     doc = _load_json(name)
-    Draft202012Validator(BANK_SCHEMA).validate(doc)
+    _validate(BANK_SCHEMA, doc)
     bank = filters.bank_from_dict(doc)
     if bank.name == filters.DEFAULT_BANK_NAME and bank != filters.default_bank():
         raise ValidationError(f"the name {bank.name!r} is reserved for the shipped bank")
@@ -314,7 +346,7 @@ def cmd_gen_lattice(args: argparse.Namespace) -> int:
     _check_table_budget(args.command, args.level)
     rule = quadrature.kronecker_lattice(args.level, args.generator, args.shift, args.strategy)
     doc = quadrature.rule_to_dict(rule)
-    Draft202012Validator(RULE_SCHEMA).validate(doc)
+    _validate(RULE_SCHEMA, doc)
     out = _resolve_out(args.out, f"lattice_j{args.level}.json")
     _write_json(out, doc)
     cutoff = basis.degree_cutoff(args.level)
@@ -326,7 +358,7 @@ def cmd_gen_lattice(args: argparse.Namespace) -> int:
 
 
 def _spectral_from_doc(doc: dict, levels: int) -> basis.SpectralVector:
-    Draft202012Validator(SPECTRAL_SCHEMA).validate(doc)
+    _validate(SPECTRAL_SCHEMA, doc)
     cutoff = int(doc["cutoff"])
     cap = basis.degree_cutoff(levels)
     if cutoff > cap:
@@ -357,7 +389,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
                     f"round-trip residual {residual:.3e} exceeds tolerance {ROUNDTRIP_TOL:.1e}"
                 )
     else:
-        Draft202012Validator(TREE_SCHEMA).validate(doc)
+        _validate(TREE_SCHEMA, doc)
         tree = transform.tree_from_dict(doc, sys_)
         recon = transform.multilevel_reconstruct(sys_, tree)
         out = _resolve_out(args.out, f"coefficients_j{recon.level}.json")

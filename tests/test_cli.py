@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -84,9 +85,10 @@ def test_level_whose_table_exceeds_the_budget_is_refused(tmp_path, capsys, monke
         monkeypatch.setattr(cli, "table_budget_bytes", lambda: need - 1)
         out = tmp_path / "out.json"
         assert cli.main([*argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"{argv[0]} at level 3 needs {need / 1e9:.2f} GB" in err
-        assert f"budget of {(need - 1) / 1e9:.2f} GB" in err
+        assert capsys.readouterr().err == (
+            f"validation error: {argv[0]} at level 3 needs {need / 1e9:.2f} GB, over the "
+            f"budget of {(need - 1) / 1e9:.2f} GB (half of the memory limit)\n"
+        )
         assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
     # sampling builds no rule factors or table, so the guard does not apply
@@ -206,7 +208,8 @@ def test_transform_cutoff_guard(tmp_path, capsys):
          "--out", str(tmp_path / "t.json")]
     )
     assert code == 2
-    assert "cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "validation error: spectral cutoff 4 exceeds the level-3 cap 3\n"
 
 
 def test_transform_schema_violation(tmp_path, capsys):
@@ -512,6 +515,50 @@ def test_non_finite_option_is_refused(tmp_path, capsys, argv, message):
     _refused(tmp_path, capsys, argv, message)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["diagnostics", "-j", "0"], "validation error: diagnostics needs level >= 1"),
+        (["sample", "--kind", "high1", "-j", "8", "--grid", "8"],
+         "validation error: sampling a high-pass at the top level exceeds the level guard"),
+        (["sample", "--kind", "masks", "--grid", "8", "--bank", "nope"],
+         "validation error: unknown bank 'nope' (not the shipped name or a file)"),
+    ],
+)
+def test_option_refusal_message(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    _refused(tmp_path, capsys, argv, message)
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ("[[NaN, 0], [1, 0], [0, 0]]", "validation error: non-finite number NaN in input"),
+        ("[[1, 0], [-Infinity, 0], [0, 0]]",
+         "validation error: non-finite number -Infinity in input"),
+        ("[[1%s, 0], [0, 0], [0, 0]]" % ("0" * 400),
+         "validation error: non-finite number in input: an integer of 401 digits"),
+    ],
+)
+def test_non_finite_input_refusal_message(tmp_path, capsys, coeffs, message):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"cutoff": 1, "coeffs": %s}' % coeffs)
+    argv = ["transform", "--roundtrip", "-j", "2", "--input", str(doc)]
+    _refused(tmp_path, capsys, argv, message)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        for argv in (["sample", "--kind", "masks", "--grid", "8"], ["gen-lattice", "-j", "1"]):
+            out = tmp_path / f"{argv[0]}.out"
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            assert oct(stat.S_IMODE(out.stat().st_mode)) == oct(mode)
+    finally:
+        os.umask(previous)
+
+
 def test_write_json_refuses_non_finite_numbers(tmp_path):
     out = tmp_path / "doc.json"
     for bad in (float("nan"), float("inf"), -float("inf")):
@@ -569,26 +616,45 @@ def test_bit_repro_output_does_not_depend_on_blas_threads(tmp_path, rng):
     assert residuals[0] == residuals[1] and residuals[0].startswith("round-trip residual")
 
 
-_WITHOUT_SCIPY = """
+_WITHOUT = """
 import sys
 import triframe.cli
-loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+package = sys.argv[1]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == package)
 assert not loaded, loaded
-sys.modules["scipy"] = None  # any later scipy import fails
-sys.exit(triframe.cli.main(sys.argv[1:]))
+sys.modules[package] = None  # any later import of the package fails
+sys.exit(triframe.cli.main(sys.argv[2:]))
 """
 
 
-def test_cli_runs_without_scipy(tmp_path):
+def _run_without(package, argv):
+    """Run the CLI in a fresh interpreter that has not imported, and cannot
+    import, package."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY, "diagnostics", "--rules", "reference",
-         "-j", "3", "--out", str(tmp_path / "d.json")],
+        [sys.executable, "-c", _WITHOUT, package, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    assert "exactness degree" in result.stdout
+    return result.stdout
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    argv = ["diagnostics", "--rules", "reference", "-j", "3", "--out", str(tmp_path / "d.json")]
+    assert "exactness degree" in _run_without("scipy", argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagnostics", "--rules", "reference", "-j", "3"],
+        ["sample", "--kind", "masks", "--grid", "16"],
+        ["sample", "--kind", "high1", "-j", "2", "--grid", "8"],
+    ],
+)
+def test_cli_imports_jsonschema_only_to_validate_a_document(tmp_path, argv):
+    assert "wrote" in _run_without("jsonschema", [*argv, "--out", str(tmp_path / "out")])
 
 
 def test_custom_bank_file(tmp_path):
@@ -635,7 +701,8 @@ def test_unknown_bank_rejected(tmp_path, capsys):
          "--bank", "nope", "--out", str(tmp_path / "t.json")]
     )
     assert code == 2
-    assert "bank" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "validation error: unknown bank 'nope' (not the shipped name or a file)\n"
 
 
 def test_data_dir_env_default(tmp_path, monkeypatch, capsys):
