@@ -173,20 +173,11 @@ def basis_matrix(points, cutoff: int) -> np.ndarray:
     """Table of all basis values with degree <= cutoff at many points.
 
     Returns shape (npoints, tri_dim(cutoff)), columns in degree-major (ell, m)
-    order.  The table is stored as a C-contiguous (tri_dim(cutoff), npoints)
-    array and returned as its transposed view, so each basis member is one
-    contiguous row.  Cost is O(npoints * tri_dim(cutoff)) recurrence work.
+    order: the transposed view of _factor_table's C-contiguous
+    (tri_dim(cutoff), npoints) array at the points' collapsed_factors.
     """
     pts = _checked_points(points)
-    t = 2.0 * pts[:, 0] - 1.0
-    out = np.empty((tri_dim(cutoff), pts.shape[0]))
-    angular, weight = collapsed_factors(pts, cutoff)[1], np.ones(len(pts))
-    for m in range(cutoff + 1):
-        angular[m] *= weight  # P_m(ratio) * (1-x1)^m
-        for row, radial in _radial_factors(t, m, cutoff):
-            np.multiply(radial, angular[m], out=out[row])
-        weight *= 1.0 - pts[:, 0]
-    return out.T
+    return _factor_table(collapsed_factors(pts, cutoff), cutoff).T
 
 
 def collapsed_factors(points, cutoff: int) -> tuple:
@@ -233,6 +224,24 @@ def _conversion(cutoff: int) -> tuple:
         conv[m, :, : cutoff + 1 - m] = project @ values
     conv.flags.writeable = rows.flags.writeable = False
     return conv, rows
+
+
+def _factor_table(factors: tuple, cutoff: int) -> np.ndarray:
+    """Values of every member with degree <= cutoff at the points of
+    factors = (Tu, Pv), as a C-contiguous (tri_dim(cutoff), n) array in
+    degree-major order.
+
+    The rows of order m are (A_m.T @ Tu) * Pv[m]: one GEMM per order over the
+    cached conversion, O(n * L * dim) flops.
+    """
+    tu, pv = (f[: cutoff + 1] for f in factors)
+    conv, rows = _conversion(cutoff)
+    out = np.empty((tri_dim(cutoff), tu.shape[1]))
+    for m in range(cutoff + 1):
+        order = conv[m, :, : cutoff + 1 - m].T @ tu
+        order *= pv[m]
+        out[rows[m, : cutoff + 1 - m]] = order
+    return out
 
 
 def _parts(arr) -> np.ndarray:

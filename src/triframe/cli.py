@@ -235,16 +235,24 @@ def table_budget_bytes() -> int:
 
 
 def _check_table_budget(command: str, level: int) -> None:
-    """Refuse, before building anything, a level whose largest arrays cannot fit:
-    for transform the top rule's node factors and one sequence's product, four
-    (L+1, N) arrays; for gen-lattice the level-J Gram's (N, dim) table and the
-    Gram; for diagnostics one more Gram, bounding those the lower levels keep.
+    """Refuse, before building anything, a level whose largest arrays cannot fit.
+
+    Each command counts the level-J rule's node factors, two (L+1, N) arrays.
+    transform adds one sequence's product, two more; gen-lattice adds the
+    engine's (L+1)^3 conversion, the Gram, one node block's table in
+    quadrature.gram_matrix and that block's product; diagnostics adds one more
+    Gram, bounding those the lower levels keep, and the tightness check's two
+    temporaries.
     """
     n = quadrature.lattice_size(level)
     cutoff = basis.degree_cutoff(level)
     dim = basis.tri_dim(cutoff)
-    grams = 1 if command == "gen-lattice" else 2
-    need = 32 * n * (cutoff + 1) if command == "transform" else 8 * (n * dim + grams * dim**2)
+    need = 16 * n * (cutoff + 1)
+    if command == "transform":
+        need *= 2
+    else:
+        squares = 2 if command == "gen-lattice" else 5
+        need += 8 * ((cutoff + 1) ** 3 + dim * min(n, quadrature.GRAM_BLOCK) + squares * dim**2)
     budget = table_budget_bytes()
     if need > budget:
         raise ValidationError(
@@ -279,8 +287,9 @@ def _atomic_write(path: Path, chunks) -> None:
 
 def _write_json(path: Path, doc: dict) -> None:
     # no indent: indentation forces CPython's pure-Python encoder; NaN and
-    # Infinity are refused, so no artifact holds them
-    _atomic_write(path, (json.dumps(doc, allow_nan=False), "\n"))
+    # Infinity are refused, so no artifact holds them; documents are trees of
+    # fresh dicts and lists, so the cycle check is skipped
+    _atomic_write(path, (json.dumps(doc, allow_nan=False, check_circular=False), "\n"))
 
 
 def _formatted(column, end: str) -> np.ndarray:
@@ -490,6 +499,21 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
             f"mask identities exceed tolerance {args.tol:.1e} "
             f"(partition {partition:.3e}, refinement {refinement:.3e})"
         )
+    if args.rules == "reference":
+        # exact rules make these vanish to roundoff, so they certify the frame;
+        # lattice rules are inexact by design and only report them
+        worst = {
+            "gram deviation": np.max([row["gram_deviation"] for row in levels]),
+            "tightness": np.max([row["residual"] for row in tightness]),
+            "parseval": np.max(
+                [row["residual"] for row in parseval["levels"]] + [parseval["top"]["residual"]]
+            ),
+        }
+        if not all(value <= args.tol for value in worst.values()):
+            details = ", ".join(f"{name} {value:.3e}" for name, value in worst.items())
+            raise ToleranceFailure(
+                f"reference residuals exceed tolerance {args.tol:.1e} ({details})"
+            )
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .basis import (
     DomainError,
     _checked_points,
+    _factor_table,
     basis_matrix,
     collapsed_factors,
     degree_cutoff,
@@ -34,6 +35,10 @@ DEFAULT_SHIFT = (0.0, 0.0)
 KIND_KRONECKER = "kronecker_lattice"
 KIND_GAUSS = "gauss_reference"
 KIND_CUSTOM = "custom"
+
+#: most nodes gram_matrix tabulates at once: its block table takes
+#: tri_dim(cutoff) * GRAM_BLOCK * 8 bytes
+GRAM_BLOCK = 2048
 
 
 def lattice_size(j: int) -> int:
@@ -119,7 +124,7 @@ class QuadratureRule:
 
     def weighted_basis(self, cutoff: int) -> np.ndarray:
         """sqrt(weight)-scaled basis table, shape (N, tri_dim(cutoff)), built
-        on each call: gram_matrix takes its symmetric product and caches that."""
+        on each call."""
         table = basis_matrix(self.nodes, cutoff)
         table *= self.sqrt_weights()[:, None]
         return table
@@ -287,9 +292,22 @@ class GramMatrix:
             raise ValueError("entries must be square over the linearized basis")
 
     def max_deviation_from_identity(self) -> float:
-        return float(
-            np.abs(self.entries - np.eye(tri_dim(self.cutoff))).max()
-        )
+        # one (dim, dim) temporary: |entries|, its diagonal replaced by |entries_ii - 1|
+        deviation = np.abs(self.entries)
+        np.fill_diagonal(deviation, np.abs(np.diagonal(self.entries) - 1.0))
+        return float(deviation.max())
+
+
+def _block_gram(tu: np.ndarray, pv: np.ndarray, weights: np.ndarray, cutoff: int) -> np.ndarray:
+    """table @ diag(weights) @ table.T for one block of nodes, the table built
+    from their factors (Tu, Pv); it is freed on return, before the next."""
+    if np.all(weights > 0.0):
+        # sqrt(w) folded into Pv; the basis is real, so table @ table.T lets
+        # BLAS take the symmetric (SYRK) path
+        table = _factor_table((tu, pv * np.sqrt(weights)), cutoff)
+        return table @ table.T
+    table = _factor_table((tu, pv), cutoff)
+    return table @ (table * weights).T
 
 
 def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
@@ -297,19 +315,20 @@ def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
 
     Equals the identity exactly when the rule is polynomial-exact to degree
     2*cutoff; for the real-valued basis the matrix is real symmetric.  The
-    entries are computed once per rule and cutoff, and are read-only.
+    entries are computed once per rule and cutoff, and are read-only.  The
+    sum runs over blocks of at most GRAM_BLOCK nodes of rule.node_factors, so
+    it holds O(GRAM_BLOCK * dim + dim^2) memory, never the (N, dim) table.
     """
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
     entries = rule._gram_cache.get(cutoff)
     if entries is None:
-        if np.all(rule.weights > 0.0):
-            table = rule.weighted_basis(cutoff)
-            # the basis is real: table.T @ table lets BLAS take the symmetric (SYRK) path
-            entries = table.T @ table
-        else:
-            table = basis_matrix(rule.nodes, cutoff)
-            entries = table.T @ (rule.weights[:, None] * table)
+        tu, pv = rule.node_factors(cutoff)
+        entries = np.zeros((tri_dim(cutoff),) * 2)
+        blocks = -(-rule.size // GRAM_BLOCK)
+        for b in range(blocks):
+            cols = slice(rule.size * b // blocks, rule.size * (b + 1) // blocks)
+            entries += _block_gram(tu[:, cols], pv[:, cols], rule.weights[cols], cutoff)
         entries.flags.writeable = False
         rule._gram_cache[cutoff] = entries
     return GramMatrix(cutoff, entries)
@@ -337,16 +356,22 @@ def generalized_tightness_residual(
     gram_hi = gram_matrix(rule_hi, cutoff).entries
     xi = lambda_vector(cutoff) / 2.0**j
     low = bank.low(xi)
-    scaling_low = bank.scaling_low(xi)
-    combo = np.outer(low, low) * gram_lo
-    for high in bank.highs:
-        hv = high(xi)
-        combo += np.outer(hv, hv) * gram_hi
-    defect = np.abs(combo - gram_hi)
-    qualifies = np.outer(scaling_low, scaling_low) != 0.0
+    qualifies = bank.scaling_low(xi) != 0.0
     if not qualifies.any():
         return 0.0
-    return float(defect[qualifies].max())
+    # |combo - gram_hi| formed in place, term by term in the order of the sum
+    combo = np.multiply.outer(low, low)
+    combo *= gram_lo
+    term = np.empty_like(combo)
+    for high in bank.highs:
+        hv = high(xi)
+        np.multiply.outer(hv, hv, out=term)
+        term *= gram_hi
+        combo += term
+    combo -= gram_hi
+    np.abs(combo, out=combo)
+    # the largest defect over the qualifying rows and columns
+    return float(combo.max(axis=1, where=qualifies, initial=0.0)[qualifies].max())
 
 
 def rule_to_dict(rule: QuadratureRule) -> dict:

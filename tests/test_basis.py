@@ -127,6 +127,24 @@ def test_basis_matrix_matches_scalar_eval():
                 )
 
 
+def test_basis_matrix_matches_scalar_eval_at_cutoff_63():
+    # interior points, the hypotenuse x1 + x2 = 1 and points within 1e-13 of
+    # the x1 = 1 corner, where the (1-x1)^m factors vanish
+    interior = np.random.default_rng(63).dirichlet(np.ones(3), size=3)[:, :2]
+    x1 = np.array([0.0, 0.3, 0.77])
+    hypotenuse = np.column_stack((x1, 1.0 - x1))
+    corner = [(1 - 1e-13, 0.0), (1 - 1e-13, 1e-13), (1 - 5e-14, 2.5e-14), (1.0, 0.0)]
+    pts = np.vstack((interior, hypotenuse, corner))
+    cutoff = 63
+    table = basis_matrix(pts, cutoff)
+    indices = [(ell, m) for ell in range(cutoff + 1) for m in range(ell + 1)]
+    for row, p in zip(table, pts):
+        want = np.array([basis_eval(idx, p) for idx in indices])
+        # the Chebyshev form of the radial factors carries rounding of the
+        # order of its coefficients (up to ~500 in l1 norm at cutoff 63)
+        assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def _points_with_shared_x1():
     """Random points plus the corner (1, 0), both edges through it, the
     hypotenuse and columns of points sharing one x1 value."""

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import jsonschema
@@ -61,13 +62,16 @@ def _footprints(level):
     """Bytes each guarded command counts at a level, written out independently."""
     n, cut = lattice_size(level), degree_cutoff(level)
     dim = tri_dim(cut)
+    factors = 2 * 8 * n * (cut + 1)  # node factors (Tu, Pv): two (L+1, N) arrays
+    conversion = 8 * (cut + 1) ** 3
+    block = 8 * dim * min(n, quadrature.GRAM_BLOCK)  # one node block's table
     return {
-        # node factors (Tu, Pv) and one sequence's product: four (L+1, N) arrays
+        # node factors and one sequence's product: four (L+1, N) arrays
         "transform": 4 * 8 * n * (cut + 1),
-        # the sqrt(w)-weighted (N, dim) table and its Gram
-        "gen-lattice": 8 * (n * dim + dim * dim),
-        # the same plus one more Gram
-        "diagnostics": 8 * (n * dim + 2 * dim * dim),
+        # node factors, conversion, one block table, its (dim, dim) product and the Gram
+        "gen-lattice": factors + conversion + block + 8 * 2 * dim * dim,
+        # the same plus one more Gram and the tightness check's two temporaries
+        "diagnostics": factors + conversion + block + 8 * 5 * dim * dim,
     }
 
 
@@ -101,18 +105,23 @@ def test_level_whose_table_exceeds_the_budget_is_refused(tmp_path, capsys, monke
         assert cli.main([*argv, "--out", str(tmp_path / f"{argv[0]}.json")]) == 0
 
 
-def test_level_8_is_refused_on_an_8_gb_machine(monkeypatch):
+def test_level_8_fits_an_8_gb_machine(monkeypatch):
     # half of 8.42 GB
     monkeypatch.setattr(cli, "table_budget_bytes", lambda: 4_210_000_000)
     for command in ("transform", "gen-lattice", "diagnostics"):
         cli._check_table_budget(command, 7)
+        cli._check_table_budget(command, 8)
     # J=8 transform holds its node factors and one product, 4 x 128 x 65537 x 8 B
     assert _footprints(8)["transform"] == 268_439_552
-    cli._check_table_budget("transform", 8)
-    # the 65537 x 8256 x 8 B = 4.33 GB table and its 0.55 GB Grams are never built
-    with pytest.raises(cli.ValidationError, match="gen-lattice at level 8 needs 4.87 GB"):
-        cli._check_table_budget("gen-lattice", 8)
-    with pytest.raises(cli.ValidationError, match="diagnostics at level 8 needs 5.42 GB"):
+    # no 65537 x 8256 table is held: the Grams are 8256 x 8256 x 8 B = 0.55 GB each,
+    # the block table 8256 x 2048 x 8 B, the node factors 2 x 128 x 65537 x 8 B
+    # and the conversion 128^3 x 8 B
+    assert _footprints(8)["gen-lattice"] == 1_376_847_872
+    assert _footprints(8)["diagnostics"] == 3_012_724_736
+    # half of a 4 GB machine admits J=8 gen-lattice but not diagnostics
+    monkeypatch.setattr(cli, "table_budget_bytes", lambda: 2_000_000_000)
+    cli._check_table_budget("gen-lattice", 8)
+    with pytest.raises(cli.ValidationError, match="diagnostics at level 8 needs 3.01 GB"):
         cli._check_table_budget("diagnostics", 8)
 
 
@@ -342,19 +351,33 @@ def test_diagnostics_builds_each_gram_once(tmp_path, monkeypatch):
 
 
 def test_reference_diagnostics_builds_each_table_once(tmp_path, monkeypatch):
-    original = quadrature.basis_matrix
-    built = []
+    gram, table = quadrature.gram_matrix, quadrature._factor_table
+    building = []  # the rule whose Gram is being built
+    built = []  # (node set, cutoff) of each block table, once per node in the block
+    sizes = {}  # node set -> node count
 
-    def counting(points, cutoff):
-        built.append((points.tobytes(), cutoff))
-        return original(points, cutoff)
+    def counting_gram(rule, cutoff):
+        building.append(rule)
+        try:
+            return gram(rule, cutoff)
+        finally:
+            building.pop()
 
-    monkeypatch.setattr(quadrature, "basis_matrix", counting)
+    def counting_table(factors, cutoff):
+        points = building[-1].nodes.tobytes()
+        sizes[points] = building[-1].size
+        built.extend([(points, cutoff)] * factors[0].shape[1])
+        return table(factors, cutoff)
+
+    monkeypatch.setattr(quadrature, "gram_matrix", counting_gram)
+    monkeypatch.setattr(quadrature, "_factor_table", counting_table)
     out = tmp_path / "ref.json"
     assert cli.main(["diagnostics", "-j", "3", "--rules", "reference", "--out", str(out)]) == 0
     # all four levels share one Gauss node set
-    assert len({points for points, _ in built}) == 1
-    assert len(built) == len(set(built)) >= 1
+    assert len(sizes) == 1
+    # the blocks of each (node set, cutoff) cover its nodes once: no table is built twice
+    covered = Counter(built)
+    assert len(covered) >= 1 and set(covered.values()) == set(sizes.values())
     assert [row["exactness_degree"] for row in json.loads(out.read_text())["levels"]] == [7] * 4
 
 
@@ -393,6 +416,86 @@ def test_diagnostics_tolerance_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "tolerance" in capsys.readouterr().err
+
+
+def _raise_gram_deviation(monkeypatch):
+    monkeypatch.setattr(quadrature.GramMatrix, "max_deviation_from_identity", lambda self: 1e-6)
+
+
+def _raise_tightness(monkeypatch):
+    monkeypatch.setattr(quadrature, "generalized_tightness_residual", lambda *args: 1e-6)
+
+
+def _raise_parseval(where):
+    def patch(monkeypatch):
+        original = cli.transform.parseval_report
+
+        def report(*args):
+            out = original(*args)
+            (out["levels"][0] if where == "level" else out["top"])["residual"] = 1e-6
+            return out
+
+        monkeypatch.setattr(cli.transform, "parseval_report", report)
+
+    return patch
+
+
+@pytest.mark.parametrize(
+    "raise_residual",
+    [_raise_gram_deviation, _raise_tightness, _raise_parseval("level"), _raise_parseval("top")],
+    ids=["gram", "tightness", "parseval-level", "parseval-top"],
+)
+def test_reference_diagnostics_gate_the_certifying_residuals(
+    tmp_path, capsys, monkeypatch, raise_residual
+):
+    out = tmp_path / "ref.json"
+    argv = ["diagnostics", "-j", "2", "--rules", "reference", "--out", str(out)]
+    assert cli.main(argv) == 0
+    passing = capsys.readouterr().out
+    raise_residual(monkeypatch)
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    # the report is written, and stdout has the lines of a passing run
+    report = json.loads(out.read_text())
+    assert len(captured.out.splitlines()) == len(passing.splitlines())
+    gram = max(row["gram_deviation"] for row in report["levels"])
+    tight = max(row["residual"] for row in report["generalized_tightness"])
+    parseval = report["parseval"]
+    energy = max([row["residual"] for row in parseval["levels"]] + [parseval["top_residual"]])
+    assert 1e-6 in (gram, tight, energy)
+    assert captured.err == (
+        "tolerance failure: reference residuals exceed tolerance 1.0e-12 "
+        f"(gram deviation {gram:.3e}, tightness {tight:.3e}, parseval {energy:.3e})\n"
+    )
+
+
+def test_lattice_diagnostics_only_report_the_certifying_residuals(tmp_path):
+    out = tmp_path / "diag.json"
+    assert cli.main(["diagnostics", "-j", "4", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    # an equal-weight lattice is inexact by design
+    assert max(row["gram_deviation"] for row in report["levels"]) > 0.1
+    assert max(row["residual"] for row in report["generalized_tightness"]) > 0.1
+
+
+def test_write_json_bytes_match_json_dumps(tmp_path, monkeypatch, rng):
+    written = []
+    original = cli._write_json
+
+    def recording(path, doc):
+        written.append((path, doc))
+        original(path, doc)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, degree_cutoff(3), rng)
+    tree, report = tmp_path / "tree.json", tmp_path / "report.json"
+    assert cli.main(["transform", "--decompose", "-j", "3", "--input", str(f_path),
+                     "--out", str(tree)]) == 0
+    assert cli.main(["diagnostics", "-j", "2", "--out", str(report)]) == 0
+    assert [path for path, _ in written] == [tree, report]
+    for path, doc in written:
+        assert path.read_text() == json.dumps(doc, allow_nan=False) + "\n"
 
 
 def test_sample_masks(tmp_path):

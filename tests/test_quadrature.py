@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from triframe.basis import (
     basis_eval,
     basis_matrix,
     degree_cutoff,
+    lambda_vector,
     tri_dim,
 )
 from triframe.quadrature import (
+    GRAM_BLOCK,
     QuadratureRule,
     _gauss_jacobi,
     exactness_degree,
@@ -177,11 +180,7 @@ def test_exactness_degree_kronecker():
 
 
 def test_negative_weight_rule():
-    # the classic 4-point degree-3 rule: centroid weight -27/48, three 25/48
-    rule = QuadratureRule(
-        nodes=np.array([[1.0 / 3.0, 1.0 / 3.0], [0.2, 0.2], [0.6, 0.2], [0.2, 0.6]]),
-        weights=np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0,
-    )
+    rule = _negative_weight_rule()
     assert exactness_degree(rule, 1e-12) == 3
     table = basis_matrix(rule.nodes, 2)
     gram = gram_matrix(rule, 2).entries
@@ -193,6 +192,44 @@ def test_negative_weight_rule():
     # point values are sqrt(w)-scaled, so the rule has none
     with pytest.raises(DomainError, match="positive weights"):
         dft(SpectralVector.zeros(1), 2, rule)
+
+
+def _negative_weight_rule():
+    # the classic 4-point degree-3 rule: centroid weight -27/48, three 25/48
+    return QuadratureRule(
+        nodes=np.array([[1.0 / 3.0, 1.0 / 3.0], [0.2, 0.2], [0.6, 0.2], [0.2, 0.6]]),
+        weights=np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "rule, cutoff",
+    [
+        (kronecker_lattice(6), 31),  # 4097 nodes: uneven blocks
+        (gauss_reference_rule(30), 15),  # 256 nodes: one block
+        (_negative_weight_rule(), 2),
+    ],
+    ids=["lattice-4097", "gauss-256", "negative-weight"],
+)
+def test_blocked_gram_matches_the_dense_product(rule, cutoff):
+    assert rule.size % GRAM_BLOCK != 0
+    table = basis_matrix(rule.nodes, cutoff)
+    want = table.T @ np.diag(rule.weights) @ table
+    assert np.abs(gram_matrix(rule, cutoff).entries - want).max() <= 1e-13
+
+
+def test_gram_never_holds_the_full_table():
+    rule = kronecker_lattice(6)
+    table_bytes = rule.size * tri_dim(31) * 8  # 16.5 MiB
+    tracemalloc.start()
+    try:
+        gram_matrix(rule, 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # node factors 2.0 MiB, the Gram and one block product 2.1 MiB each, one
+    # block table (1366 of the 4097 nodes) 5.5 MiB: 12.0 MiB measured
+    assert peak < 14 * 2**20 < table_bytes
 
 
 @pytest.mark.parametrize("j, degree", [(3, 7), (5, 31), (6, 63)])
@@ -263,6 +300,25 @@ def test_generalized_tightness_kronecker_regression(bank):
     )
     assert residual == pytest.approx(KRON4_TIGHTNESS_RESIDUAL, abs=1e-9)
     assert residual < 0.65
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_generalized_tightness_matches_the_out_of_place_sum(bank, exact):
+    j, cutoff = 4, degree_cutoff(4)
+    if exact:
+        rule_lo = rule_hi = gauss_reference_rule(2 * cutoff)
+    else:
+        rule_lo, rule_hi = kronecker_lattice(j - 1), kronecker_lattice(j)
+    gram_lo = gram_matrix(rule_lo, cutoff).entries
+    gram_hi = gram_matrix(rule_hi, cutoff).entries
+    xi = lambda_vector(cutoff) / 2.0**j
+    combo = np.outer(bank.low(xi), bank.low(xi)) * gram_lo
+    for high in bank.highs:
+        combo += np.outer(high(xi), high(xi)) * gram_hi
+    scaling = bank.scaling_low(xi)
+    want = np.abs(combo - gram_hi)[np.outer(scaling, scaling) != 0.0].max()
+    # the same elementwise sums in the same order: the same bits
+    assert generalized_tightness_residual(rule_lo, rule_hi, bank, j, cutoff) == want
 
 
 def test_generalized_tightness_cutoff_guard(bank):
