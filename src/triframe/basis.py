@@ -263,8 +263,8 @@ def factored_sum(factors: tuple, coeffs, cutoff: int, fixed_order: bool = False)
     """Values sum_i coeffs[i] * phi_i at the points of factors = (Tu, Pv).
 
     sum over m of (C @ Tu)[m] * Pv[m], C[m] = A_m @ c_m: one GEMM, O(n * L^2)
-    flops and O(n * L) memory for n points.  fixed_order sums one row at a
-    time in index order, without BLAS: the same bits under any threading.
+    flops and O(n * L) memory for n points.  fixed_order sums one order at a
+    time with numpy's einsum, without BLAS: the same bits under any threading.
     """
     tu, pv = (f[: cutoff + 1] for f in factors)
     conv, rows = _conversion(cutoff)
@@ -274,14 +274,10 @@ def factored_sum(factors: tuple, coeffs, cutoff: int, fixed_order: bool = False)
         cheb = (conv @ grid[..., None]).reshape(-1, cutoff + 1)
         prod = (cheb @ tu).reshape(len(parts), cutoff + 1, -1)
         return _joined(np.einsum("pmn,mn->pn", prod, pv))
+    # einsum without optimize runs numpy's C loops: for n > 1 points it adds
+    # C[m, a] * Tu[a] in index order; the orders are added in index order
     cheb = np.einsum("mad,pmd->pma", conv, grid)
-    out = np.zeros((len(parts), tu.shape[1]))
-    for p, m in np.ndindex(cheb.shape[:2]):
-        g = np.zeros(tu.shape[1])
-        for c, row in zip(cheb[p, m], tu):
-            g += c * row
-        out[p] += g * pv[m]
-    return _joined(out)
+    return _joined(sum(np.einsum("pa,an->pn", cheb[:, m], tu) * pv[m] for m in range(cutoff + 1)))
 
 
 def factored_adjoint(factors: tuple, values, cutoff: int) -> np.ndarray:

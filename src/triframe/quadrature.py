@@ -231,25 +231,18 @@ def gauss_reference_rule(degree: int) -> QuadratureRule:
     x2 = (1.0 - x1) * np.tile(v, npts)
     w = np.repeat(wu, npts) * np.tile(wv, npts)
     w /= w.sum()
-    return QuadratureRule(
-        nodes=np.stack((x1, x2), axis=1),
-        weights=w,
-        kind=KIND_GAUSS,
-        generator_meta={"degree": degree},
-    )
+    return QuadratureRule(nodes=np.stack((x1, x2), axis=1), weights=w, kind=KIND_GAUSS)
 
 
 def integrate(rule: QuadratureRule, f: Callable) -> complex:
     """Weighted node sum of a scalar field.
 
-    f may act on an (N, 2) array of points or on a single point.
+    f maps the (N, 2) array of nodes to their N values; wrap a function of
+    one point as lambda pts: np.array([f(p) for p in pts]).
     """
-    try:
-        values = np.asarray(f(rule.nodes))
-        if values.shape != (rule.size,):
-            raise TypeError
-    except TypeError:
-        values = np.asarray([f(p) for p in rule.nodes])
+    values = np.asarray(f(rule.nodes))
+    if values.shape != (rule.size,):
+        raise ValueError(f"f returned shape {values.shape}, expected ({rule.size},)")
     return complex(np.sum(rule.weights * values))
 
 
@@ -298,16 +291,17 @@ class GramMatrix:
         return float(deviation.max())
 
 
-def _block_gram(tu: np.ndarray, pv: np.ndarray, weights: np.ndarray, cutoff: int) -> np.ndarray:
-    """table @ diag(weights) @ table.T for one block of nodes, the table built
-    from their factors (Tu, Pv); it is freed on return, before the next."""
+def _block_gram(tu, pv, weights, cutoff: int, out: np.ndarray) -> np.ndarray:
+    """table @ diag(weights) @ table.T for one block of nodes, written into
+    out, the table built from their factors (Tu, Pv); it is freed on return,
+    before the next."""
     if np.all(weights > 0.0):
         # sqrt(w) folded into Pv; the basis is real, so table @ table.T lets
         # BLAS take the symmetric (SYRK) path
         table = _factor_table((tu, pv * np.sqrt(weights)), cutoff)
-        return table @ table.T
+        return np.matmul(table, table.T, out=out)
     table = _factor_table((tu, pv), cutoff)
-    return table @ (table * weights).T
+    return np.matmul(table, (table * weights).T, out=out)
 
 
 def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
@@ -325,10 +319,11 @@ def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
     if entries is None:
         tu, pv = rule.node_factors(cutoff)
         entries = np.zeros((tri_dim(cutoff),) * 2)
+        product = np.empty_like(entries)  # one block's, reused by every block
         blocks = -(-rule.size // GRAM_BLOCK)
         for b in range(blocks):
             cols = slice(rule.size * b // blocks, rule.size * (b + 1) // blocks)
-            entries += _block_gram(tu[:, cols], pv[:, cols], rule.weights[cols], cutoff)
+            entries += _block_gram(tu[:, cols], pv[:, cols], rule.weights[cols], cutoff, product)
         entries.flags.writeable = False
         rule._gram_cache[cutoff] = entries
     return GramMatrix(cutoff, entries)

@@ -172,6 +172,33 @@ def test_expansion_values_match_table(complex_coeffs):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_fixed_order_sum_matches_the_index_order_loop(complex_coeffs):
+    # reference: each row C[m, a] * Tu[a] added in index order, times Pv[m],
+    # the orders added in index order; same bits at every count of points > 1
+    from triframe.basis import _conversion, _parts, collapsed_factors, factored_sum
+
+    pts = _points_with_shared_x1()
+    cutoff = 14
+    rng = np.random.default_rng(12)
+    coeffs = rng.standard_normal(tri_dim(cutoff))
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(tri_dim(cutoff))
+    tu, pv = collapsed_factors(pts, cutoff)
+    conv, rows = _conversion(cutoff)
+    parts = _parts(coeffs)
+    grid = np.concatenate((parts, np.zeros((len(parts), 1))), axis=1)[:, rows]
+    cheb = np.einsum("mad,pmd->pma", conv, grid)
+    want = np.zeros((len(parts), len(pts)))
+    for p, m in np.ndindex(cheb.shape[:2]):
+        g = np.zeros(len(pts))
+        for c, row in zip(cheb[p, m], tu):
+            g += c * row
+        want[p] += g * pv[m]
+    got = _parts(factored_sum((tu, pv), coeffs, cutoff, fixed_order=True))
+    assert np.array_equal(got, want)
+
+
 def test_expansion_values_rejects_bad_input():
     with pytest.raises(ValueError):
         expansion_values([(0.2, 0.2)], np.ones(tri_dim(3) - 1), 3)

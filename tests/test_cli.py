@@ -288,6 +288,31 @@ def test_transform_reconstruct_rejects_duplicate_entries(tmp_path, capsys, rng):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rule_ref", ["5", "kronecker_lattice/x"])
+def test_transform_reconstruct_refuses_a_malformed_rule_ref(tmp_path, capsys, rng, rule_ref):
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, degree_cutoff(2), rng)
+    tree_path = tmp_path / "tree.json"
+    cli.main(
+        ["transform", "--decompose", "-j", "2", "--input", str(f_path),
+         "--out", str(tree_path)]
+    )
+    doc = json.loads(tree_path.read_text())
+    doc["levels"][1]["rule_ref"] = rule_ref
+    tree_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "c.json"
+    code = cli.main(
+        ["transform", "--reconstruct", "-j", "2", "--input", str(tree_path),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"validation error at /levels/1/rule_ref: '{rule_ref}' does not match '/[0-9]+$'\n"
+    )
+    assert not out.exists()
+
+
 def test_transform_bit_repro_is_deterministic(tmp_path, rng):
     f_path = tmp_path / "f.json"
     _write_spectral(f_path, degree_cutoff(2), rng)
@@ -595,7 +620,7 @@ def test_grid_outside_range_is_refused(tmp_path, capsys, kind, grid):
 def test_zero_tolerance_is_refused(tmp_path, capsys):
     _refused(
         tmp_path, capsys, ["diagnostics", "-j", "1", "--tol", "0"],
-        "validation error: tolerance must be positive",
+        "error: tol must be finite and positive",
     )
 
 
@@ -609,9 +634,9 @@ def test_zero_tolerance_is_refused(tmp_path, capsys):
         (["sample", "--kind", "low", "-j", "2", "--grid", "8", "--shift", "nan", "0"],
          "error: lattice generator and shift must be finite"),
         (["diagnostics", "-j", "1", "--tol", "nan"],
-         "validation error: tolerance must be finite"),
+         "error: tol must be finite and positive"),
         (["diagnostics", "-j", "1", "--tol", "inf"],
-         "validation error: tolerance must be finite"),
+         "error: tol must be finite and positive"),
     ],
 )
 def test_non_finite_option_is_refused(tmp_path, capsys, argv, message):

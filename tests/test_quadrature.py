@@ -155,10 +155,17 @@ def test_integrate_zero_mean_member():
     assert abs(integrate(rule, _p10)) < 1e-14
 
 
-def test_integrate_scalar_callable_fallback():
-    rule = gauss_reference_rule(2)
-    val = integrate(rule, lambda p: 3.0)
-    assert val == pytest.approx(3.0, abs=1e-14)
+@pytest.mark.parametrize(
+    "f, shape",
+    [(lambda pts: 3.0, "()"), (lambda pts: np.ones((len(pts), 1)), "(9, 1)")],
+    ids=["scalar", "column"],
+)
+def test_integrate_refuses_values_not_one_per_node(f, shape):
+    # f is called once, on all nodes; no per-point retry broadcasts (N, 1) to (N, N)
+    rule = gauss_reference_rule(4)
+    with pytest.raises(ValueError) as exc:
+        integrate(rule, f)
+    assert str(exc.value) == f"f returned shape {shape}, expected (9,)"
 
 
 def test_integrate_kronecker_low_discrepancy_regression():
