@@ -108,10 +108,11 @@ _FINITE = {"type": "number", "minimum": -sys.float_info.max, "maximum": sys.floa
 
 _SYMBOL = {
     "type": "object",
-    "required": ["pieces", "support"],
+    "required": ["pieces"],
     "properties": {
         "pieces": {
             "type": "array",
+            "minItems": 1,
             "items": {
                 "type": "object",
                 "required": ["lo", "hi", "kind"],
@@ -125,8 +126,6 @@ _SYMBOL = {
                 },
             },
         },
-        "support": {"type": "array", "items": _FINITE, "minItems": 2, "maxItems": 2},
-        "half_period": {"type": "boolean"},
     },
 }
 

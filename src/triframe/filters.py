@@ -9,7 +9,7 @@ together with the scaling-function symbols they refine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,15 +62,19 @@ class Piece:
 class SpectralSymbol:
     """Even piecewise function of xi, identically zero outside its support.
 
-    Pieces cover [support[0], support[1]] as half-open intervals, the last
-    one closed at the right endpoint.  half_period marks mask symbols whose
-    natural domain is half a period of a Fourier series, so no continuity
-    with zero is implied at the right support edge.
+    Pieces are half-open intervals, the last one closed at its right endpoint.
     """
 
     pieces: tuple[Piece, ...]
-    support: tuple[float, float]
-    half_period: bool = False
+
+    def __post_init__(self):
+        if not self.pieces:
+            raise ValueError("a symbol needs at least one piece")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """The span of the pieces."""
+        return min(p.lo for p in self.pieces), max(p.hi for p in self.pieces)
 
     def __call__(self, xi):
         t = np.abs(np.asarray(xi, dtype=float))
@@ -125,39 +129,28 @@ def default_bank() -> FilterBank:
             Piece(0.0, 0.125, "const", value=1.0),
             Piece(0.125, 0.25, "cos_nu", scale=8.0, offset=-1.0),
         ),
-        support=(0.0, 0.25),
-        half_period=True,
     )
     high1 = SpectralSymbol(
         pieces=(
             Piece(0.125, 0.25, "sin_nu", scale=8.0, offset=-1.0),
             Piece(0.25, 0.5, "cos_nu", scale=4.0, offset=-1.0),
         ),
-        support=(0.125, 0.5),
-        half_period=True,
     )
-    high2 = SpectralSymbol(
-        pieces=(Piece(0.25, 0.5, "sin_nu", scale=4.0, offset=-1.0),),
-        support=(0.25, 0.5),
-        half_period=True,
-    )
+    high2 = SpectralSymbol(pieces=(Piece(0.25, 0.5, "sin_nu", scale=4.0, offset=-1.0),))
     scaling_low = SpectralSymbol(
         pieces=(
             Piece(0.0, 0.25, "const", value=1.0),
             Piece(0.25, 0.5, "cos_nu", scale=4.0, offset=-1.0),
         ),
-        support=(0.0, 0.5),
     )
     scaling_high1 = SpectralSymbol(
         pieces=(
             Piece(0.25, 0.5, "sin_nu", scale=4.0, offset=-1.0),
             Piece(0.5, 1.0, "cos2_nu", scale=2.0, offset=-1.0),
         ),
-        support=(0.25, 1.0),
     )
     scaling_high2 = SpectralSymbol(
-        pieces=(Piece(0.5, 1.0, "cossin_nu", scale=2.0, offset=-1.0),),
-        support=(0.5, 1.0),
+        pieces=(Piece(0.5, 1.0, "cossin_nu", scale=2.0, offset=-1.0),)
     )
     return FilterBank(
         low=low,
@@ -207,21 +200,7 @@ def check_limit_lowpass(bank: FilterBank, ell: int, j_max: int) -> float:
 
 
 def _symbol_to_dict(symbol: SpectralSymbol) -> dict:
-    return {
-        "support": [symbol.support[0], symbol.support[1]],
-        "half_period": symbol.half_period,
-        "pieces": [
-            {
-                "lo": p.lo,
-                "hi": p.hi,
-                "kind": p.kind,
-                "value": p.value,
-                "scale": p.scale,
-                "offset": p.offset,
-            }
-            for p in symbol.pieces
-        ],
-    }
+    return {"pieces": [asdict(p) for p in symbol.pieces]}
 
 
 def _symbol_from_dict(doc: dict) -> SpectralSymbol:
@@ -232,9 +211,7 @@ def _symbol_from_dict(doc: dict) -> SpectralSymbol:
                 **{key: float(p[key]) for key in ("value", "scale", "offset") if key in p},
             )
             for p in doc["pieces"]
-        ),
-        support=(float(doc["support"][0]), float(doc["support"][1])),
-        half_period=doc.get("half_period", False),
+        )
     )
 
 

@@ -362,9 +362,8 @@ def _framelet_coefficients(
     if not 0 <= k < rule.size:
         raise IndexError(f"node index {k} out of range for {rule.size} nodes")
     cut = max_degree_within(2.0**j * symbol.support[1])
-    gains = symbol(lambda_vector(cut) / 2.0**j)
     row = basis_matrix(rule.nodes[k : k + 1], cut)[0] * np.sqrt(rule.weights[k])
-    return SpectralVector(cut, gains * row)
+    return _filtered_spectrum(SpectralVector(cut, row), symbol, j)
 
 
 def framelet_eval(
@@ -455,11 +454,18 @@ def sequence_to_dict(
 
 
 def sequence_from_dict(doc: dict, sys: FrameletSystem) -> CoefficientSequence:
-    """The sequence of a document valid under cli.SEQUENCE_SCHEMA.  Its point
-    values v are checked for form, finite and one per node, and not read back:
-    the values are the spectrum's synthesis."""
-    level = int(doc["rule_ref"].rsplit("/", 1)[1])
+    """The sequence of a document valid under cli.SEQUENCE_SCHEMA, on the rule
+    of its position: level j for a low-pass entry, j + 1 for a high-pass one.
+    Its rule_ref must name that rule.  Its point values v are checked for form,
+    finite and one per node, and not read back: the values are the spectrum's
+    synthesis."""
+    level = int(doc["j"]) + (doc["channel"] == "high")
     rule = sys.rule(level)
+    if doc["rule_ref"] != f"{rule.kind}/{level}":
+        raise ValueError(
+            f"{doc['channel']}-pass entry at j={doc['j']} is on rule "
+            f"'{rule.kind}/{level}', not '{doc['rule_ref']}'"
+        )
     if _pairs_to_array(doc["v"]).shape != (rule.size,):
         raise ValueError("values must match the rule's node count")
     spectral = SpectralVector(
@@ -481,16 +487,19 @@ def tree_from_dict(doc: dict, sys: FrameletSystem) -> FrameletTree:
     r = int(doc["r"])
     if J > sys.J:
         raise ValueError(f"tree top level {J} exceeds system level {sys.J}")
+    if r != sys.r:
+        raise ValueError(f"tree has r={r}, the bank has {sys.r} high-pass masks")
     base = None
     details = [[None] * r for _ in range(J)]
     for entry in doc["levels"]:
-        seq = sequence_from_dict(entry, sys)
+        j, n = int(entry["j"]), int(entry.get("n", 0))
         if entry["channel"] == "low":
+            if j != 0:
+                raise ValueError(f"low-pass entry at j={j}, not j=0")
             if base is not None:
                 raise ValueError("coefficient tree has a duplicate low-pass entry")
-            base = seq
+            base = sequence_from_dict(entry, sys)
             continue
-        j, n = int(entry["j"]), int(entry.get("n", 0))
         if not (0 <= j < J and 1 <= n <= r):
             raise ValueError(
                 f"high-pass entry (j={j}, n={n}) outside the tree's "
@@ -500,7 +509,7 @@ def tree_from_dict(doc: dict, sys: FrameletSystem) -> FrameletTree:
             raise ValueError(
                 f"coefficient tree has a duplicate entry (high, j={j}, n={n})"
             )
-        details[j][n - 1] = seq
+        details[j][n - 1] = sequence_from_dict(entry, sys)
     if base is None or any(h is None for highs in details for h in highs):
         raise ValueError("coefficient tree is missing entries")
     return FrameletTree(base=base, details=details)

@@ -313,6 +313,49 @@ def test_transform_reconstruct_refuses_a_malformed_rule_ref(tmp_path, capsys, rn
     assert not out.exists()
 
 
+def _entry_at(doc: dict, channel: str, j: int) -> dict:
+    return next(e for e in doc["levels"] if e["channel"] == channel and e["j"] == j)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: _entry_at(doc, "high", 1).update(rule_ref="gauss_reference/2"),
+         "error: high-pass entry at j=1 is on rule 'kronecker_lattice/2', "
+         "not 'gauss_reference/2'"),
+        (lambda doc: _entry_at(doc, "high", 0).update(rule_ref="kronecker_lattice/2"),
+         "error: high-pass entry at j=0 is on rule 'kronecker_lattice/1', "
+         "not 'kronecker_lattice/2'"),
+        (lambda doc: _entry_at(doc, "low", 0).update(j=2),
+         "error: low-pass entry at j=2, not j=0"),
+        (lambda doc: doc.update(r=1), "error: tree has r=1, the bank has 2 high-pass masks"),
+    ],
+    ids=["foreign-kind", "wrong-level", "low-pass-j", "wrong-r"],
+)
+def test_transform_reconstruct_refuses_an_entry_off_its_position(
+    tmp_path, capsys, rng, edit, message
+):
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, degree_cutoff(2), rng)
+    tree_path = tmp_path / "tree.json"
+    cli.main(
+        ["transform", "--decompose", "-j", "2", "--input", str(f_path),
+         "--out", str(tree_path)]
+    )
+    doc = json.loads(tree_path.read_text())
+    edit(doc)
+    tree_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "c.json"
+    code = cli.main(
+        ["transform", "--reconstruct", "-j", "2", "--input", str(tree_path),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"{message}\n"
+    assert not out.exists()
+
+
 def test_transform_bit_repro_is_deterministic(tmp_path, rng):
     f_path = tmp_path / "f.json"
     _write_spectral(f_path, degree_cutoff(2), rng)
@@ -723,6 +766,45 @@ def test_malformed_bank_file_is_refused(tmp_path, capsys, bank, message):
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"{message}\n"
     assert not out.exists()
+
+
+def _old_format(doc: dict) -> dict:
+    """A copy of a bank document with the support and half_period fields that
+    bank files used to restate, each support the span of its symbol's pieces."""
+    doc = json.loads(json.dumps(doc))
+    for symbol in (doc["low"], *doc["highs"], doc["scaling_low"], *doc["scaling_highs"]):
+        pieces = symbol["pieces"]
+        symbol["support"] = [min(p["lo"] for p in pieces), max(p["hi"] for p in pieces)]
+        symbol["half_period"] = False
+    return doc
+
+
+def test_old_format_bank_file_is_the_shipped_bank(tmp_path):
+    # the restated fields are ignored, so they neither change the bank nor
+    # clash with the shipped name
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(_old_format(_BANK_DOC)))
+    outs = []
+    for bank in ("dau2-simplex-r2", str(bank_path)):
+        outs.append(tmp_path / f"masks_{len(outs)}.csv")
+        argv = ["sample", "--kind", "masks", "--grid", "16", "--bank", bank]
+        assert cli.main([*argv, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_stated_support_narrower_than_the_pieces_does_not_truncate(tmp_path, rng):
+    doc = _old_format({**_BANK_DOC, "name": "old-format"})
+    doc["low"]["support"] = [0.0, 0.2]
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(doc))
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, degree_cutoff(5), rng)
+    trees = []
+    for bank in ("dau2-simplex-r2", str(bank_path)):
+        trees.append(tmp_path / f"tree_{len(trees)}.json")
+        argv = ["transform", "--decompose", "-j", "5", "--input", str(f_path), "--bank", bank]
+        assert cli.main([*argv, "--out", str(trees[-1])]) == 0
+    assert trees[0].read_bytes() == trees[1].read_bytes()
 
 
 def test_bit_repro_output_does_not_depend_on_blas_threads(tmp_path, rng):

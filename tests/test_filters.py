@@ -85,9 +85,7 @@ def test_refinement_identity(bank):
 
 
 def test_refinement_fails_for_indicator_scaling(bank):
-    indicator = SpectralSymbol(
-        pieces=(Piece(0.0, 0.5, "const", value=1.0),), support=(0.0, 0.5)
-    )
+    indicator = SpectralSymbol(pieces=(Piece(0.0, 0.5, "const", value=1.0),))
     broken = FilterBank(
         low=bank.low,
         highs=bank.highs,
@@ -115,7 +113,7 @@ def test_support_declarations(bank):
         assert np.all(sym(np.linspace(1.0000001, 3.0, 500)) == 0.0)
 
 
-def _continuity_residual(sym: SpectralSymbol) -> float:
+def _continuity_residual(sym: SpectralSymbol, mask: bool) -> float:
     worst = 0.0
     # adjacent branches agree where they meet
     for left, right in zip(sym.pieces, sym.pieces[1:]):
@@ -126,14 +124,16 @@ def _continuity_residual(sym: SpectralSymbol) -> float:
     first, last = sym.pieces[0], sym.pieces[-1]
     if first.lo > 0.0:
         worst = max(worst, float(abs(first.evaluate(np.asarray([first.lo]))[0])))
-    if not sym.half_period or last.hi < 0.5:
+    if not mask or last.hi < 0.5:
         worst = max(worst, float(abs(last.evaluate(np.asarray([last.hi]))[0])))
     return worst
 
 
 def test_breakpoint_continuity(bank):
-    for sym in (bank.low, *bank.highs, bank.scaling_low, *bank.scaling_highs):
-        assert _continuity_residual(sym) <= 1e-14
+    for sym in (bank.low, *bank.highs):
+        assert _continuity_residual(sym, mask=True) <= 1e-14
+    for sym in (bank.scaling_low, *bank.scaling_highs):
+        assert _continuity_residual(sym, mask=False) <= 1e-14
 
 
 @settings(max_examples=80, deadline=None)
@@ -170,10 +170,16 @@ def test_custom_bank_serialization_round_trip(bank):
         assert np.array_equal(a(xi), b(xi))
 
 
+def test_symbol_support_is_the_span_of_its_pieces(bank):
+    assert bank.low.support == (0.0, 0.25)
+    assert bank.highs[0].support == (0.125, 0.5)
+    assert bank.scaling_highs[0].support == (0.25, 1.0)
+    with pytest.raises(ValueError, match="at least one piece"):
+        SpectralSymbol(pieces=())
+
+
 def test_bank_support_guards(bank):
-    too_wide = SpectralSymbol(
-        pieces=(Piece(0.0, 0.6, "const", value=1.0),), support=(0.0, 0.6)
-    )
+    too_wide = SpectralSymbol(pieces=(Piece(0.0, 0.6, "const", value=1.0),))
     with pytest.raises(ValueError):
         FilterBank(
             low=bank.low,
@@ -219,10 +225,13 @@ def _refused_bank(tmp_path, capsys, text: str) -> str:
         (["scaling_highs", 0, "pieces", 0, "lo"], "0",
          "at /scaling_highs/0/pieces/0/lo: '0' is not of type 'number'"),
         # refused as it is parsed, before any field is known; its digits are not echoed
-        (["scaling_low", "support", 1], 10**400,
+        (["scaling_low", "pieces", 1, "scale"], 10**400,
          ": non-finite number in input: an integer of 401 digits"),
-        (["scaling_low", "support"], [0.0], "at /scaling_low/support: [0.0] is too short"),
-        (["low", "half_period"], 1, "at /low/half_period: 1 is not of type 'boolean'"),
+        # a symbol is its pieces, so it has at least one
+        (["scaling_highs", 1, "pieces"], [], "at /scaling_highs/1/pieces: [] should be non-empty"),
+        (["low", "pieces", 0, "kind"], "tan_nu",
+         "at /low/pieces/0/kind: 'tan_nu' is not one of "
+         "['const', 'cos_nu', 'sin_nu', 'cos2_nu', 'cossin_nu']"),
         (["highs", 0, "pieces", 1, "kind"], None,
          "at /highs/0/pieces/1: 'kind' is a required property"),
         (["name"], 5, "at /name: 5 is not of type 'string'"),

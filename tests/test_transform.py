@@ -221,9 +221,7 @@ def test_analyze_needs_next_rule(sys_k5, rng):
 
 
 def test_convolve_identity_symbol(sys_k5, rng):
-    ones = SpectralSymbol(
-        pieces=(Piece(0.0, 64.0, "const", value=1.0),), support=(0.0, 64.0)
-    )
+    ones = SpectralSymbol(pieces=(Piece(0.0, 64.0, "const", value=1.0),))
     j = 3
     v = CoefficientSequence(sys_k5.rule(j), random_spectral(degree_cutoff(j), rng))
     out = convolve(v, ones)
