@@ -20,6 +20,9 @@ SIMPLEX_TOL = 1e-12
 # Distance from the x1 = 1 corner below which the collapsed ratio coordinate
 # 2*x2/(1-x1) - 1 degenerates; the continuous limit of the product is used.
 _CORNER_EPS = 1e-14
+#: bytes of the product buffer factored_sum and factored_adjoint hold: they
+#: walk the nodes in blocks whose (parts * (cutoff + 1), width) product fits
+PRODUCT_BYTES = 4 << 20
 
 
 class DomainError(ValueError):
@@ -259,12 +262,28 @@ def _joined(parts: np.ndarray) -> np.ndarray:
     return out
 
 
+def node_blocks(n: int, size: int) -> list:
+    """Consecutive slices covering range(n) in order, as few as keep each at
+    most size long, their widths within 1 of each other."""
+    count = max(-(-n // size), 1)
+    return [slice(n * b // count, n * (b + 1) // count) for b in range(count)]
+
+
+def _product_blocks(rows: int, n: int) -> tuple:
+    """The node blocks of an engine call over n nodes whose product has the
+    given rows, and one buffer that holds the widest block's product."""
+    blocks = node_blocks(n, max(PRODUCT_BYTES // (8 * rows), 1))
+    return blocks, np.empty(rows * -(-n // len(blocks)))
+
+
 def factored_sum(factors: tuple, coeffs, cutoff: int, fixed_order: bool = False) -> np.ndarray:
     """Values sum_i coeffs[i] * phi_i at the points of factors = (Tu, Pv).
 
-    sum over m of (C @ Tu)[m] * Pv[m], C[m] = A_m @ c_m: one GEMM, O(n * L^2)
-    flops and O(n * L) memory for n points.  fixed_order sums one order at a
-    time with numpy's einsum, without BLAS: the same bits under any threading.
+    sum over m of (C @ Tu)[m] * Pv[m], C[m] = A_m @ c_m: one GEMM per node
+    block, O(n * L^2) flops, and O(n + L^3) memory for n points besides the
+    factors: the blocks' products share one buffer of at most PRODUCT_BYTES.
+    fixed_order sums one order at a time with numpy's einsum, without BLAS:
+    the same bits under any threading.
     """
     tu, pv = (f[: cutoff + 1] for f in factors)
     conv, rows = _conversion(cutoff)
@@ -272,8 +291,15 @@ def factored_sum(factors: tuple, coeffs, cutoff: int, fixed_order: bool = False)
     grid = np.concatenate((parts, np.zeros((len(parts), 1))), axis=1)[:, rows]
     if not fixed_order:
         cheb = (conv @ grid[..., None]).reshape(-1, cutoff + 1)
-        prod = (cheb @ tu).reshape(len(parts), cutoff + 1, -1)
-        return _joined(np.einsum("pmn,mn->pn", prod, pv))
+        out = np.empty((len(parts), tu.shape[1]))
+        blocks, buffer = _product_blocks(len(cheb), tu.shape[1])
+        for cols in blocks:
+            width = cols.stop - cols.start
+            prod = buffer[: len(cheb) * width].reshape(len(cheb), width)
+            np.matmul(cheb, tu[:, cols], out=prod)
+            prod = prod.reshape(len(parts), cutoff + 1, width)
+            np.einsum("pmn,mn->pn", prod, pv[:, cols], out=out[:, cols])
+        return _joined(out)
     # einsum without optimize runs numpy's C loops: for n > 1 points it adds
     # C[m, a] * Tu[a] in index order; the orders are added in index order
     cheb = np.einsum("mad,pmd->pma", conv, grid)
@@ -282,11 +308,17 @@ def factored_sum(factors: tuple, coeffs, cutoff: int, fixed_order: bool = False)
 
 def factored_adjoint(factors: tuple, values, cutoff: int) -> np.ndarray:
     """Adjoint of factored_sum: sum_k values[k] * phi_i(x_k) for every i,
-    as A_m.T @ ((Pv * values) @ Tu.T)[m], in the same cost."""
+    as A_m.T @ ((Pv * values) @ Tu.T)[m], in the same cost and memory."""
     tu, pv = (f[: cutoff + 1] for f in factors)
     conv, rows = _conversion(cutoff)
     parts = _parts(values)
-    cheb = (parts[:, None] * pv).reshape(-1, tu.shape[1]) @ tu.T
+    cheb = np.zeros((len(parts) * (cutoff + 1), cutoff + 1))
+    blocks, buffer = _product_blocks(len(cheb), tu.shape[1])
+    for cols in blocks:
+        width = cols.stop - cols.start
+        prod = buffer[: len(cheb) * width].reshape(len(parts), cutoff + 1, width)
+        np.multiply(parts[:, None, cols], pv[:, cols], out=prod)
+        cheb += prod.reshape(len(cheb), width) @ tu[:, cols].T
     out = np.empty((len(parts), tri_dim(cutoff) + 1))
     out[:, rows] = (cheb.reshape(len(parts), cutoff + 1, 1, -1) @ conv)[:, :, 0]
     return _joined(out[:, :-1])

@@ -237,18 +237,18 @@ def _check_table_budget(command: str, level: int) -> None:
     """Refuse, before building anything, a level whose largest arrays cannot fit.
 
     Each command counts the level-J rule's node factors, two (L+1, N) arrays.
-    transform adds one sequence's product, two more; gen-lattice adds the
-    engine's (L+1)^3 conversion, the Gram, one node block's table in
-    quadrature.gram_matrix and that block's product; diagnostics adds one more
-    Gram, bounding those the lower levels keep, and the tightness check's two
-    temporaries.
+    transform adds the engine's product buffer, basis.PRODUCT_BYTES;
+    gen-lattice adds the engine's (L+1)^3 conversion, the Gram, one node
+    block's table in quadrature.gram_matrix and that block's product;
+    diagnostics adds one more Gram, bounding those the lower levels keep, and
+    the tightness check's two temporaries.
     """
     n = quadrature.lattice_size(level)
     cutoff = basis.degree_cutoff(level)
     dim = basis.tri_dim(cutoff)
     need = 16 * n * (cutoff + 1)
     if command == "transform":
-        need *= 2
+        need += basis.PRODUCT_BYTES
     else:
         squares = 2 if command == "gen-lattice" else 5
         need += 8 * ((cutoff + 1) ** 3 + dim * min(n, quadrature.GRAM_BLOCK) + squares * dim**2)
@@ -518,6 +518,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise ValidationError(f"grid resolution must lie in 2..{MAX_GRID}")
     if args.kind == "masks":
         bank = _load_bank(args.bank)
+        transform.require_partition(bank)
         xi = np.linspace(0.0, 0.5, args.grid)
         columns = [xi, bank.low(xi)]
         header = ["xi", "a_hat"]

@@ -25,6 +25,7 @@ from .basis import (
     factored_adjoint,
     jacobi_eval,
     lambda_vector,
+    node_blocks,
     tri_dim,
 )
 
@@ -320,9 +321,7 @@ def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
         tu, pv = rule.node_factors(cutoff)
         entries = np.zeros((tri_dim(cutoff),) * 2)
         product = np.empty_like(entries)  # one block's, reused by every block
-        blocks = -(-rule.size // GRAM_BLOCK)
-        for b in range(blocks):
-            cols = slice(rule.size * b // blocks, rule.size * (b + 1) // blocks)
+        for cols in node_blocks(rule.size, GRAM_BLOCK):
             entries += _block_gram(tu[:, cols], pv[:, cols], rule.weights[cols], cutoff, product)
         entries.flags.writeable = False
         rule._gram_cache[cutoff] = entries

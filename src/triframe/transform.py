@@ -83,6 +83,13 @@ def _point_values(seq: CoefficientSequence, fixed_order: bool) -> np.ndarray:
     return _synthesis(seq.rule, seq.spectral, True) if fixed_order else seq.values
 
 
+def require_partition(bank: FilterBank) -> None:
+    """Refuse a bank whose masks do not partition unity on [0, 1/2]."""
+    residual = _filters.check_partition(bank, _PARTITION_GRID)
+    if residual > PARTITION_TOL:
+        raise ValueError(f"bank violates the partition identity (residual {residual:.3e})")
+
+
 @dataclass
 class FrameletSystem:
     """A filter bank with one quadrature rule per level 0..J."""
@@ -94,11 +101,7 @@ class FrameletSystem:
         for j, rule in enumerate(self.rules):
             if rule.level != j:
                 raise ValueError(f"rule at position {j} carries level {rule.level}")
-        residual = _filters.check_partition(self.bank, _PARTITION_GRID)
-        if residual > PARTITION_TOL:
-            raise ValueError(
-                f"bank violates the partition identity (residual {residual:.3e})"
-            )
+        require_partition(self.bank)
 
     @property
     def J(self) -> int:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from triframe.basis import (
     max_degree_within,
     tri_dim,
 )
-from triframe.quadrature import gauss_reference_rule
+from triframe import basis
+from triframe.quadrature import gauss_reference_rule, kronecker_lattice
 
 
 def test_jacobi_degree_zero_is_one():
@@ -197,6 +199,70 @@ def test_fixed_order_sum_matches_the_index_order_loop(complex_coeffs):
         want[p] += g * pv[m]
     got = _parts(factored_sum((tu, pv), coeffs, cutoff, fixed_order=True))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4097, 16385])
+def test_node_blocks_cover_the_range_in_order(n):
+    for size in (1, 3, 2048, 4096, 8192, 20000):
+        blocks = basis.node_blocks(n, size)
+        assert [k for cols in blocks for k in range(n)[cols]] == list(range(n))
+        widths = [cols.stop - cols.start for cols in blocks]
+        assert max(widths) <= size
+        assert max(widths) - min(widths) <= 1
+
+
+def _lattice_and_coeffs(level: int, complex_coeffs: bool):
+    """A level's lattice, its cutoff and random coefficients at that cutoff."""
+    cutoff = degree_cutoff(level)
+    rule = kronecker_lattice(level)
+    rng = np.random.default_rng(level)
+    coeffs = rng.standard_normal(tri_dim(cutoff))
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(tri_dim(cutoff))
+    return rule, cutoff, coeffs
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_sum_over_many_node_blocks_matches_one_block(monkeypatch, complex_coeffs):
+    rule, cutoff, coeffs = _lattice_and_coeffs(7, complex_coeffs)
+    factors = rule.node_factors(cutoff)
+    monkeypatch.setattr(basis, "PRODUCT_BYTES", 1 << 30)
+    whole = basis.factored_sum(factors, coeffs, cutoff)
+    monkeypatch.setattr(basis, "PRODUCT_BYTES", 1 << 16)  # 64 or 128 nodes a block
+    blocked = basis.factored_sum(factors, coeffs, cutoff)
+    assert blocked.dtype == whole.dtype
+    assert np.abs(blocked - whole).max() <= 1e-14 * np.abs(whole).max()
+    indices = [(ell, m) for ell in range(cutoff + 1) for m in range(ell + 1)]
+    for k in np.random.default_rng(1).choice(rule.size, 4, replace=False):
+        terms = coeffs * [basis_eval(idx, rule.nodes[k]) for idx in indices]
+        assert abs(blocked[k] - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_adjoint_over_many_node_blocks_matches_the_table(monkeypatch, complex_values):
+    rule, cutoff = kronecker_lattice(6), degree_cutoff(6)
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal(rule.size)
+    if complex_values:
+        values = values + 1j * rng.standard_normal(rule.size)
+    monkeypatch.setattr(basis, "PRODUCT_BYTES", 1 << 16)
+    got = basis.factored_adjoint(rule.node_factors(cutoff), values, cutoff)
+    want = basis_matrix(rule.nodes, cutoff).T @ values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_synthesis_holds_one_product_buffer():
+    rule, cutoff, coeffs = _lattice_and_coeffs(7, True)
+    factors = rule.node_factors(cutoff)
+    basis.factored_sum(factors, coeffs, cutoff)  # builds the cached conversion
+    tracemalloc.start()
+    try:
+        basis.factored_sum(factors, coeffs, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (128, 16385) product of the whole level would take 16 MiB
+    assert peak < basis.PRODUCT_BYTES + (2 << 20)
 
 
 def test_expansion_values_rejects_bad_input():

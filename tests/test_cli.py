@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from triframe import cli, quadrature
+from triframe import basis, cli, quadrature
 from triframe.basis import degree_cutoff, tri_dim
 from triframe.filters import FilterBank, bank_to_dict, default_bank
 from triframe.quadrature import lattice_size, rule_from_dict
@@ -66,8 +66,8 @@ def _footprints(level):
     conversion = 8 * (cut + 1) ** 3
     block = 8 * dim * min(n, quadrature.GRAM_BLOCK)  # one node block's table
     return {
-        # node factors and one sequence's product: four (L+1, N) arrays
-        "transform": 4 * 8 * n * (cut + 1),
+        # node factors and the engine's product buffer
+        "transform": factors + basis.PRODUCT_BYTES,
         # node factors, conversion, one block table, its (dim, dim) product and the Gram
         "gen-lattice": factors + conversion + block + 8 * 2 * dim * dim,
         # the same plus one more Gram and the tightness check's two temporaries
@@ -111,8 +111,9 @@ def test_level_8_fits_an_8_gb_machine(monkeypatch):
     for command in ("transform", "gen-lattice", "diagnostics"):
         cli._check_table_budget(command, 7)
         cli._check_table_budget(command, 8)
-    # J=8 transform holds its node factors and one product, 4 x 128 x 65537 x 8 B
-    assert _footprints(8)["transform"] == 268_439_552
+    # J=8 transform holds its node factors, 2 x 128 x 65537 x 8 B, and the
+    # engine's 4 MiB product buffer
+    assert _footprints(8)["transform"] == 138_414_080
     # no 65537 x 8256 table is held: the Grams are 8256 x 8256 x 8 B = 0.55 GB each,
     # the block table 8256 x 2048 x 8 B, the node factors 2 x 128 x 65537 x 8 B
     # and the conversion 128^3 x 8 B
@@ -766,6 +767,21 @@ def test_malformed_bank_file_is_refused(tmp_path, capsys, bank, message):
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"{message}\n"
     assert not out.exists()
+
+
+def test_bank_that_breaks_the_partition_is_refused_by_masks_and_diagnostics(tmp_path, capsys):
+    # a low-pass piece that matches no point: the schema and Piece accept it
+    doc = json.loads(json.dumps({**_BANK_DOC, "name": "broken"}))
+    doc["low"]["pieces"][0].update(lo=0.25, hi=0.125)
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for argv in (["sample", "--kind", "masks", "--grid", "8"], ["diagnostics", "-j", "2"]):
+        assert cli.main([*argv, "--bank", str(bank_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bank violates the partition identity (residual 1.000e+00)\n"
+        )
+        assert not out.exists()
 
 
 def _old_format(doc: dict) -> dict:
