@@ -238,10 +238,9 @@ def _check_table_budget(command: str, level: int) -> None:
 
     Each command counts the level-J rule's node factors, two (L+1, N) arrays.
     transform adds the engine's product buffer, basis.PRODUCT_BYTES;
-    gen-lattice adds the engine's (L+1)^3 conversion, the Gram, one node
-    block's table in quadrature.gram_matrix and that block's product;
-    diagnostics adds one more Gram, bounding those the lower levels keep, and
-    the tightness check's two temporaries.
+    gen-lattice and diagnostics add the engine's (L+1)^3 conversion, one
+    node block's table in quadrature.gram_matrix, that block's product and
+    the Gram, which diagnostics turns in place into the tightness defect.
     """
     n = quadrature.lattice_size(level)
     cutoff = basis.degree_cutoff(level)
@@ -250,8 +249,7 @@ def _check_table_budget(command: str, level: int) -> None:
     if command == "transform":
         need += basis.PRODUCT_BYTES
     else:
-        squares = 2 if command == "gen-lattice" else 5
-        need += 8 * ((cutoff + 1) ** 3 + dim * min(n, quadrature.GRAM_BLOCK) + squares * dim**2)
+        need += 8 * ((cutoff + 1) ** 3 + dim * min(n, quadrature.GRAM_BLOCK) + 2 * dim**2)
     budget = table_budget_bytes()
     if need > budget:
         raise ValidationError(
@@ -420,32 +418,29 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
     partition = filters.check_partition(bank, grid)
     refinement = filters.check_refinement(bank, grid)
 
-    levels = []
+    levels, tightness = [], []
     cap = 2 * basis.degree_cutoff(args.level) + 2
     for j in range(args.level + 1):
         rule = sys_.rule(j)
         cutoff = basis.degree_cutoff(j)
+        gram = quadrature.gram_matrix(rule, cutoff)
         levels.append(
             {
                 "j": j,
                 "nodes": rule.size,
-                "gram_deviation": quadrature.gram_matrix(
-                    rule, cutoff
-                ).max_deviation_from_identity(),
+                "gram_deviation": gram.max_deviation_from_identity(),
                 "exactness_degree": quadrature.exactness_degree(
                     rule, args.tol, max_degree=cap
                 ),
             }
         )
-    tightness = [
-        {
-            "j": j,
-            "residual": quadrature.generalized_tightness_residual(
-                sys_.rule(j - 1), sys_.rule(j), bank, j, basis.degree_cutoff(j)
-            ),
-        }
-        for j in range(1, args.level + 1)
-    ]
+        if j >= 1:
+            # turns the level's one Gram into the tightness defect
+            residual = quadrature.generalized_tightness_residual(
+                sys_.rule(j - 1), rule, bank, j, cutoff, gram
+            )
+            tightness.append({"j": j, "residual": residual})
+        del gram  # before the next level's is built
     band = basis.degree_cutoff(args.level - 1)
     rng = np.random.default_rng(0)
     f = basis.SpectralVector(

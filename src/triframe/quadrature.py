@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import (
+    PRODUCT_BYTES,
     DomainError,
     _checked_points,
     _factor_table,
@@ -49,13 +50,29 @@ def lattice_size(j: int) -> int:
     return 4**j + 1
 
 
+class _NodeFactors:
+    """basis.collapsed_factors of one node array, one pair built at the widest
+    cutoff asked for, at least `cutoff`, and shared by every rule whose nodes
+    lead that array."""
+
+    def __init__(self, nodes: np.ndarray):
+        self.nodes = nodes
+        self.cutoff = 0
+        self.pair = None
+
+    def window(self, cutoff: int, size: int) -> tuple:
+        """Rows 0..cutoff of the first size columns, as views of the pair."""
+        if self.pair is None or cutoff >= len(self.pair[0]):
+            self.pair = collapsed_factors(self.nodes, max(cutoff, self.cutoff))
+        return tuple(f[: cutoff + 1, :size] for f in self.pair)
+
+
 @dataclass
 class QuadratureRule:
     """Weighted node set on the triangle.
 
     Treated as immutable after construction; the synthesis engine's node
-    factors (one pair, see node_factors) and one Gram matrix per spectral
-    cutoff are built lazily and cached.
+    factors (one pair, see node_factors) are built lazily and cached.
     """
 
     nodes: np.ndarray
@@ -63,12 +80,7 @@ class QuadratureRule:
     kind: str = KIND_CUSTOM
     level: int | None = None
     generator_meta: dict = field(default_factory=dict)
-    _factor_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, init=False
-    )
-    _gram_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, init=False
-    )
+    _factors: _NodeFactors = field(repr=False, compare=False, init=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -92,6 +104,7 @@ class QuadratureRule:
                 )
             if not np.allclose(self.weights, 1.0 / n, rtol=0.0, atol=0.0):
                 raise ValueError("lattice weights must all equal 1/N")
+        self._factors = _NodeFactors(self.nodes)
 
     @property
     def size(self) -> int:
@@ -100,22 +113,17 @@ class QuadratureRule:
     def with_level(self, level: int) -> "QuadratureRule":
         """Copy of this rule tagged with a framelet level.
 
-        The copy shares the node data and the factor and Gram caches, so the
-        levels of one node set build each once.
+        The copy shares the node data and the node factors, so the levels of
+        one node set build them once.
         """
         copy = replace(self, level=level)
-        copy._factor_cache = self._factor_cache
-        copy._gram_cache = self._gram_cache
+        copy._factors = self._factors
         return copy
 
     def node_factors(self, cutoff: int) -> tuple:
         """basis.collapsed_factors of the nodes, rows 0..cutoff: views of the
-        one pair cached, built at the widest cutoff asked for so far."""
-        if not self._factor_cache or cutoff > max(self._factor_cache):
-            self._factor_cache.clear()
-            self._factor_cache[cutoff] = collapsed_factors(self.nodes, cutoff)
-        (factors,) = self._factor_cache.values()
-        return tuple(f[: cutoff + 1] for f in factors)
+        one cached pair, which the levels of a kronecker_levels family share."""
+        return self._factors.window(cutoff, self.size)
 
     def sqrt_weights(self) -> np.ndarray:
         """Square roots of the weights, which scale synthesized point values."""
@@ -131,8 +139,8 @@ class QuadratureRule:
         return table
 
     def clear_cache(self) -> None:
-        self._factor_cache.clear()
-        self._gram_cache.clear()
+        """Drop the node factors, for every rule that shares them."""
+        self._factors.pair = None
 
 
 def _unit_square_stream(generator, shift, count: int) -> np.ndarray:
@@ -185,6 +193,27 @@ def kronecker_lattice(
             "strategy": strategy,
         },
     )
+
+
+def kronecker_levels(
+    levels: int,
+    generator=DEFAULT_GENERATOR,
+    shift=DEFAULT_SHIFT,
+    strategy: str = "fold",
+) -> list:
+    """The lattices of levels 0..levels, sharing one pair of node factors.
+
+    Each level is kronecker_lattice(j), so it refuses what it refuses alone.
+    Both strategies walk one point stream, so the level-j nodes are the first
+    4**j + 1 nodes of the top level's: level j reads the window [:L+1, :N_j]
+    of the top level's factors, built once at its degree cutoff.
+    """
+    rules = [kronecker_lattice(j, generator, shift, strategy) for j in range(levels + 1)]
+    shared = rules[-1]._factors
+    shared.cutoff = degree_cutoff(levels)
+    for rule in rules[:-1]:
+        rule._factors = shared
+    return rules
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
@@ -286,46 +315,73 @@ class GramMatrix:
             raise ValueError("entries must be square over the linearized basis")
 
     def max_deviation_from_identity(self) -> float:
-        # one (dim, dim) temporary: |entries|, its diagonal replaced by |entries_ii - 1|
-        deviation = np.abs(self.entries)
-        np.fill_diagonal(deviation, np.abs(np.diagonal(self.entries) - 1.0))
-        return float(deviation.max())
+        """max |entries - identity|, with no (dim, dim) temporary."""
+        dim = len(self.entries)
+        # a view of the off-diagonal entries: in row-major order every
+        # (dim + 1)-th entry is diagonal, so past the first they end the rows
+        # of a (dim - 1, dim + 1) reshape
+        off = self.entries.reshape(-1)[1:].reshape(dim - 1, dim + 1)[:, :-1]
+        diagonal = np.abs(np.diagonal(self.entries) - 1.0)
+        return float(np.max([off.max(initial=0.0), -off.min(initial=0.0), diagonal.max()]))
 
 
-def _block_gram(tu, pv, weights, cutoff: int, out: np.ndarray) -> np.ndarray:
-    """table @ diag(weights) @ table.T for one block of nodes, written into
-    out, the table built from their factors (Tu, Pv); it is freed on return,
-    before the next."""
-    if np.all(weights > 0.0):
-        # sqrt(w) folded into Pv; the basis is real, so table @ table.T lets
-        # BLAS take the symmetric (SYRK) path
-        table = _factor_table((tu, pv * np.sqrt(weights)), cutoff)
-        return np.matmul(table, table.T, out=out)
+def _block_gram(tu, pv, weights, cutoff: int, scale, out: np.ndarray) -> np.ndarray:
+    """S @ table @ diag(weights) @ table.T @ S for one block of nodes, written
+    into out, the table built from their factors (Tu, Pv) and S = diag(scale)
+    (the identity when scale is None); the table is freed on return."""
+    positive = np.all(weights > 0.0)
+    if positive:
+        pv = pv * np.sqrt(weights)
     table = _factor_table((tu, pv), cutoff)
+    if scale is not None:
+        table *= scale[:, None]
+    if positive:
+        # sqrt(w) is folded into Pv, and the basis is real, so table @ table.T
+        # lets BLAS take the symmetric (SYRK) path
+        return np.matmul(table, table.T, out=out)
     return np.matmul(table, (table * weights).T, out=out)
+
+
+def _add_gram(rule: QuadratureRule, cutoff: int, out: np.ndarray, scale=None) -> None:
+    """Add the rule's Gram at cutoff, its rows and columns scaled by scale
+    when given, into out: one _block_gram per block of at most GRAM_BLOCK
+    nodes, every block's product written into one reused (dim, dim) buffer."""
+    tu, pv = rule.node_factors(cutoff)
+    product = np.empty_like(out)
+    for cols in node_blocks(rule.size, GRAM_BLOCK):
+        out += _block_gram(tu[:, cols], pv[:, cols], rule.weights[cols], cutoff, scale, product)
 
 
 def gram_matrix(rule: QuadratureRule, cutoff: int) -> GramMatrix:
     """Matrix of weighted sums of basis products over the rule's nodes.
 
     Equals the identity exactly when the rule is polynomial-exact to degree
-    2*cutoff; for the real-valued basis the matrix is real symmetric.  The
-    entries are computed once per rule and cutoff, and are read-only.  The
-    sum runs over blocks of at most GRAM_BLOCK nodes of rule.node_factors, so
-    it holds O(GRAM_BLOCK * dim + dim^2) memory, never the (N, dim) table.
+    2*cutoff; for the real-valued basis the matrix is real symmetric.  Built
+    on each call.  The sum runs over blocks of at most GRAM_BLOCK nodes of
+    rule.node_factors, so it holds O(GRAM_BLOCK * dim + dim^2) memory, never
+    the (N, dim) table.
     """
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
-    entries = rule._gram_cache.get(cutoff)
-    if entries is None:
-        tu, pv = rule.node_factors(cutoff)
-        entries = np.zeros((tri_dim(cutoff),) * 2)
-        product = np.empty_like(entries)  # one block's, reused by every block
-        for cols in node_blocks(rule.size, GRAM_BLOCK):
-            entries += _block_gram(tu[:, cols], pv[:, cols], rule.weights[cols], cutoff, product)
-        entries.flags.writeable = False
-        rule._gram_cache[cutoff] = entries
+    entries = np.zeros((tri_dim(cutoff),) * 2)
+    _add_gram(rule, cutoff, entries)
     return GramMatrix(cutoff, entries)
+
+
+def _masked_sum_in_place(gram: np.ndarray, masks: list) -> None:
+    """Overwrite gram with the sum over masks of outer(mask, mask) * gram,
+    less gram: a few rows at a time, so the temporaries take at most
+    2 * PRODUCT_BYTES, term by term in the order of the sum."""
+    for rows in node_blocks(len(gram), max(PRODUCT_BYTES // (8 * len(gram)), 1)):
+        block = gram[rows]
+        combo = np.zeros_like(block)
+        term = np.empty_like(block)
+        for mask in masks:
+            np.multiply.outer(mask[rows], mask, out=term)
+            term *= block
+            combo += term
+        combo -= block
+        block[...] = combo
 
 
 def generalized_tightness_residual(
@@ -334,6 +390,7 @@ def generalized_tightness_residual(
     bank,
     j: int,
     cutoff: int,
+    gram_hi: GramMatrix | None = None,
 ) -> float:
     """Residual of the tightness condition for possibly inexact rules.
 
@@ -341,31 +398,33 @@ def generalized_tightness_residual(
     nonzero, the low-pass mask couples the coarse rule's Gram entry and the
     high-pass masks couple the fine rule's; a tight system reproduces the fine
     Gram entry.  Returns the maximum absolute defect.
+
+    gram_hi, when given, is gram_matrix(rule_hi, cutoff), and its entries are
+    overwritten: the fine Gram is turned into the defect in place.  The
+    coarse Gram is never formed: its block products, scaled by the low-pass
+    mask, are added into the defect, unless both rules are one node set,
+    whose one Gram serves both terms.
     """
     if j < 1:
         raise DomainError("scale j must be >= 1")
     if cutoff > degree_cutoff(j):
         raise DomainError("cutoff exceeds the level-j spectral cap")
-    gram_lo = gram_matrix(rule_lo, cutoff).entries
-    gram_hi = gram_matrix(rule_hi, cutoff).entries
     xi = lambda_vector(cutoff) / 2.0**j
     low = bank.low(xi)
     qualifies = bank.scaling_low(xi) != 0.0
     if not qualifies.any():
         return 0.0
-    # |combo - gram_hi| formed in place, term by term in the order of the sum
-    combo = np.multiply.outer(low, low)
-    combo *= gram_lo
-    term = np.empty_like(combo)
-    for high in bank.highs:
-        hv = high(xi)
-        np.multiply.outer(hv, hv, out=term)
-        term *= gram_hi
-        combo += term
-    combo -= gram_hi
-    np.abs(combo, out=combo)
+    if gram_hi is None:
+        gram_hi = gram_matrix(rule_hi, cutoff)
+    defect = gram_hi.entries
+    # one node set and weights, as the levels of a reference system hold
+    shared = rule_lo.nodes is rule_hi.nodes and rule_lo.weights is rule_hi.weights
+    _masked_sum_in_place(defect, ([low] if shared else []) + [high(xi) for high in bank.highs])
+    if not shared:
+        _add_gram(rule_lo, cutoff, defect, scale=low)
+    np.abs(defect, out=defect)
     # the largest defect over the qualifying rows and columns
-    return float(combo.max(axis=1, where=qualifies, initial=0.0)[qualifies].max())
+    return float(defect.max(axis=1, where=qualifies, initial=0.0)[qualifies].max())
 
 
 def rule_to_dict(rule: QuadratureRule) -> dict:

@@ -86,7 +86,8 @@ def _point_values(seq: CoefficientSequence, fixed_order: bool) -> np.ndarray:
 def require_partition(bank: FilterBank) -> None:
     """Refuse a bank whose masks do not partition unity on [0, 1/2]."""
     residual = _filters.check_partition(bank, _PARTITION_GRID)
-    if residual > PARTITION_TOL:
+    # written as "not within", so a NaN residual is refused too
+    if not residual <= PARTITION_TOL:
         raise ValueError(f"bank violates the partition identity (residual {residual:.3e})")
 
 
@@ -124,12 +125,11 @@ def kronecker_system(
     shift=_quadrature.DEFAULT_SHIFT,
     strategy: str = "fold",
 ) -> FrameletSystem:
-    """Framelet system over equal-weight Kronecker lattices for levels 0..levels."""
-    rules = [
-        _quadrature.kronecker_lattice(j, generator, shift, strategy)
-        for j in range(levels + 1)
-    ]
-    return FrameletSystem(bank, rules)
+    """Framelet system over equal-weight Kronecker lattices for levels
+    0..levels, whose node factors are windows of the top level's."""
+    return FrameletSystem(
+        bank, _quadrature.kronecker_levels(levels, generator, shift, strategy)
+    )
 
 
 def reference_system(bank: FilterBank, levels: int) -> FrameletSystem:

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -70,8 +71,9 @@ def _footprints(level):
         "transform": factors + basis.PRODUCT_BYTES,
         # node factors, conversion, one block table, its (dim, dim) product and the Gram
         "gen-lattice": factors + conversion + block + 8 * 2 * dim * dim,
-        # the same plus one more Gram and the tightness check's two temporaries
-        "diagnostics": factors + conversion + block + 8 * 5 * dim * dim,
+        # the same: the Gram turns in place into the tightness defect, and the
+        # coarse rule's block products reuse the table and product slots
+        "diagnostics": factors + conversion + block + 8 * 2 * dim * dim,
     }
 
 
@@ -114,15 +116,17 @@ def test_level_8_fits_an_8_gb_machine(monkeypatch):
     # J=8 transform holds its node factors, 2 x 128 x 65537 x 8 B, and the
     # engine's 4 MiB product buffer
     assert _footprints(8)["transform"] == 138_414_080
-    # no 65537 x 8256 table is held: the Grams are 8256 x 8256 x 8 B = 0.55 GB each,
-    # the block table 8256 x 2048 x 8 B, the node factors 2 x 128 x 65537 x 8 B
-    # and the conversion 128^3 x 8 B
+    # no 65537 x 8256 table is held: the Gram and the block product are
+    # 8256 x 8256 x 8 B = 0.55 GB each, the block table 8256 x 2048 x 8 B, the
+    # node factors 2 x 128 x 65537 x 8 B and the conversion 128^3 x 8 B
     assert _footprints(8)["gen-lattice"] == 1_376_847_872
-    assert _footprints(8)["diagnostics"] == 3_012_724_736
-    # half of a 4 GB machine admits J=8 gen-lattice but not diagnostics
+    assert _footprints(8)["diagnostics"] == 1_376_847_872
+    # half of a 4 GB machine admits J=8 gen-lattice and diagnostics
     monkeypatch.setattr(cli, "table_budget_bytes", lambda: 2_000_000_000)
-    cli._check_table_budget("gen-lattice", 8)
-    with pytest.raises(cli.ValidationError, match="diagnostics at level 8 needs 3.01 GB"):
+    for command in ("gen-lattice", "diagnostics"):
+        cli._check_table_budget(command, 8)
+    monkeypatch.setattr(cli, "table_budget_bytes", lambda: 1_000_000_000)
+    with pytest.raises(cli.ValidationError, match="diagnostics at level 8 needs 1.38 GB"):
         cli._check_table_budget("diagnostics", 8)
 
 
@@ -386,49 +390,18 @@ def test_diagnostics_report(tmp_path, capsys):
     assert "partition residual" in captured
 
 
-def _diagnostics_report(tmp_path, monkeypatch, gram_matrix, name):
-    monkeypatch.setattr(quadrature, "gram_matrix", gram_matrix)
-    out = tmp_path / name
-    assert cli.main(["diagnostics", "-j", "3", "--out", str(out)]) == 0
-    return json.loads(out.read_text())
+def _count_block_tables(monkeypatch):
+    """Patch quadrature so every Gram block table is recorded as (node set,
+    cutoff), once per node of its block; returns that list and a dict of
+    node set -> node count.  A node set is the bytes of the rule's nodes."""
+    add, table = quadrature._add_gram, quadrature._factor_table
+    building = []  # the rule whose block tables are being built
+    built, sizes = [], {}
 
-
-def test_diagnostics_builds_each_gram_once(tmp_path, monkeypatch):
-    original = quadrature.gram_matrix
-    # (id(rule), cutoff) -> (rule, entries returned); holding the rule keeps its id unique
-    products = {}
-
-    def counting(rule, cutoff):
-        gram = original(rule, cutoff)
-        products.setdefault((id(rule), cutoff), (rule, []))[1].append(gram.entries)
-        return gram
-
-    def uncached(rule, cutoff):
-        rule.clear_cache()
-        return original(rule, cutoff)
-
-    report = _diagnostics_report(tmp_path, monkeypatch, counting, "cached.json")
-    calls = [entries for _, returned in products.values() for entries in returned]
-    # 4 level-loop Grams and 2 per tightness level j = 1..3; the fine-rule
-    # Gram (rule_j, cutoff_j) repeats the level loop's, and so does the
-    # coarse one at j = 1, since cutoff_0 = cutoff_1 = 0
-    assert len(calls) == 10 and len(products) == 6
-    for _, returned in products.values():
-        assert all(entries is returned[0] for entries in returned)
-        assert not returned[0].flags.writeable
-    assert report == _diagnostics_report(tmp_path, monkeypatch, uncached, "fresh.json")
-
-
-def test_reference_diagnostics_builds_each_table_once(tmp_path, monkeypatch):
-    gram, table = quadrature.gram_matrix, quadrature._factor_table
-    building = []  # the rule whose Gram is being built
-    built = []  # (node set, cutoff) of each block table, once per node in the block
-    sizes = {}  # node set -> node count
-
-    def counting_gram(rule, cutoff):
+    def counting_add(rule, cutoff, out, scale=None):
         building.append(rule)
         try:
-            return gram(rule, cutoff)
+            return add(rule, cutoff, out, scale)
         finally:
             building.pop()
 
@@ -438,16 +411,77 @@ def test_reference_diagnostics_builds_each_table_once(tmp_path, monkeypatch):
         built.extend([(points, cutoff)] * factors[0].shape[1])
         return table(factors, cutoff)
 
-    monkeypatch.setattr(quadrature, "gram_matrix", counting_gram)
+    monkeypatch.setattr(quadrature, "_add_gram", counting_add)
     monkeypatch.setattr(quadrature, "_factor_table", counting_table)
+    return built, sizes
+
+
+def _covered_once(built, sizes, twice):
+    """Whether the blocks of each (node set, cutoff) cover its nodes once,
+    except the cutoff-0 tables of the node set `twice`: levels 0 and 1 both
+    have degree cutoff 0, and their one-row tables are built for both."""
+    for (points, cutoff), count in Counter(built).items():
+        times = 2 if (points, cutoff) == (twice, 0) else 1
+        if count != times * sizes[points]:
+            return False
+    return True
+
+
+def test_diagnostics_builds_each_block_table_once(tmp_path, monkeypatch):
+    built, sizes = _count_block_tables(monkeypatch)
+    out = tmp_path / "lattice.json"
+    assert cli.main(["diagnostics", "-j", "3", "--out", str(out)]) == 0
+    # one Gram per level, and the coarse rule's blocks at j = 1..3 (rule j-1,
+    # cutoff_j): six (node set, cutoff) pairs, five at distinct cutoffs
+    lattices = [quadrature.kronecker_lattice(j).nodes.tobytes() for j in range(4)]
+    want = {(lattices[j], degree_cutoff(j)) for j in range(4)}
+    want |= {(lattices[j - 1], degree_cutoff(j)) for j in range(1, 4)}
+    assert set(built) == want and len(want) == 6
+    assert _covered_once(built, sizes, lattices[0])
+    # the in-place defect agrees with the out-of-place sum over dense Grams
+    report = json.loads(out.read_text())
+    bank = default_bank()
+    sys_ = cli.transform.kronecker_system(bank, 3)
+    for row in report["generalized_tightness"]:
+        j = row["j"]
+        cutoff = degree_cutoff(j)
+        grams = [
+            basis.basis_matrix(rule.nodes, cutoff).T * rule.weights
+            @ basis.basis_matrix(rule.nodes, cutoff)
+            for rule in (sys_.rule(j - 1), sys_.rule(j))
+        ]
+        xi = basis.lambda_vector(cutoff) / 2.0**j
+        combo = np.outer(bank.low(xi), bank.low(xi)) * grams[0] - grams[1]
+        for high in bank.highs:
+            combo += np.outer(high(xi), high(xi)) * grams[1]
+        scaling = bank.scaling_low(xi)
+        want = np.abs(combo)[np.outer(scaling, scaling) != 0.0].max()
+        assert row["residual"] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_reference_diagnostics_builds_each_table_once(tmp_path, monkeypatch):
+    built, sizes = _count_block_tables(monkeypatch)
     out = tmp_path / "ref.json"
     assert cli.main(["diagnostics", "-j", "3", "--rules", "reference", "--out", str(out)]) == 0
-    # all four levels share one Gauss node set
+    # all four levels share one Gauss node set, whose one Gram per level also
+    # serves as the coarse Gram of the tightness check
     assert len(sizes) == 1
-    # the blocks of each (node set, cutoff) cover its nodes once: no table is built twice
-    covered = Counter(built)
-    assert len(covered) >= 1 and set(covered.values()) == set(sizes.values())
+    (points,) = sizes
+    assert sorted(set(built)) == [(points, cutoff) for cutoff in (0, 1, 3)]
+    assert _covered_once(built, sizes, points)
     assert [row["exactness_degree"] for row in json.loads(out.read_text())["levels"]] == [7] * 4
+
+
+def test_level_7_diagnostics_peaks_within_its_count(tmp_path):
+    # the count holds the level-7 node factors, the conversion, one block
+    # table, the Gram and one block product: 117 MiB
+    tracemalloc.start()
+    try:
+        assert cli.main(["diagnostics", "-j", "7", "--out", str(tmp_path / "d.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _footprints(7)["diagnostics"] + 10 * 2**20
 
 
 def test_transform_roundtrip_passes_default_tolerance(tmp_path, capsys, rng):
@@ -784,6 +818,30 @@ def test_bank_that_breaks_the_partition_is_refused_by_masks_and_diagnostics(tmp_
         assert not out.exists()
 
 
+def test_bank_whose_partition_residual_is_nan_is_refused(tmp_path, capsys):
+    # a finite scale that the schema accepts, whose mask overflows to NaN
+    doc = json.loads(json.dumps({**_BANK_DOC, "name": "overflowing"}))
+    doc["highs"][1]["pieces"][0]["scale"] = 1e300
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(doc))
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, 0)
+    out = tmp_path / "out"
+    commands = (
+        ["sample", "--kind", "masks", "--grid", "8"],
+        ["transform", "--roundtrip", "-j", "2", "--input", str(f_path)],
+        ["diagnostics", "-j", "2"],
+    )
+    for argv in commands:
+        with np.errstate(all="ignore"):
+            code = cli.main([*argv, "--bank", str(bank_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: bank violates the partition identity (residual nan)\n"
+        )
+        assert not out.exists()
+
+
 def _old_format(doc: dict) -> dict:
     """A copy of a bank document with the support and half_period fields that
     bank files used to restate, each support the span of its symbol's pieces."""
@@ -1030,6 +1088,9 @@ def test_sample_masks_csv_bytes(tmp_path, monkeypatch):
     highs = (lambda xi: -_SPECIAL, lambda xi: _SPECIAL[::-1], lambda xi: _REPEATS)
     fake = SimpleNamespace(low=lambda xi: _SPECIAL, highs=highs)
     monkeypatch.setattr(cli, "_load_bank", lambda name: fake)
+    # the fake masks hold NaN and infinities on purpose, which the partition
+    # check refuses: this test pins the CSV writer's bytes only
+    monkeypatch.setattr(cli.transform, "require_partition", lambda bank: None)
     out = tmp_path / "masks.csv"
     grid = len(_SPECIAL)
     assert cli.main(["sample", "--kind", "masks", "--grid", str(grid), "--out", str(out)]) == 0

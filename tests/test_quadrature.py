@@ -18,6 +18,8 @@ from triframe.basis import (
     tri_dim,
 )
 from triframe.quadrature import (
+    DEFAULT_GENERATOR,
+    DEFAULT_SHIFT,
     GRAM_BLOCK,
     QuadratureRule,
     _gauss_jacobi,
@@ -246,16 +248,32 @@ def test_reference_rule_exactness_degree(j, degree):
     assert exactness_degree(rule, 1e-12, max_degree=2 * degree_cutoff(j) + 2) == degree
 
 
-def test_with_level_shares_node_factors_and_grams():
+def test_with_level_shares_node_factors():
     rule = gauss_reference_rule(8)
     levels = [rule.with_level(j) for j in range(3)]
     factors = levels[0].node_factors(4)
-    gram = gram_matrix(levels[1], 4).entries
     for other in (levels[2], rule):
         for mine, shared in zip(other.node_factors(4), factors):
             assert np.shares_memory(mine, shared)
-    assert gram_matrix(levels[2], 4).entries is gram
+    # no Gram is cached: each call builds a fresh one, which its caller owns
+    first, second = (gram_matrix(level, 4).entries for level in levels[1:])
+    assert first is not second and first.flags.writeable
+    assert np.array_equal(first, second)
     assert [r.level for r in levels] == [0, 1, 2] and rule.level is None
+
+
+# a generator other than the default, with a shift
+_SHIFTED = ((0.7548776662466927, 0.5698402909980532), (0.3, 0.6))
+
+
+@pytest.mark.parametrize("strategy", ["fold", "intersect"])
+@pytest.mark.parametrize("generator, shift", [(DEFAULT_GENERATOR, DEFAULT_SHIFT), _SHIFTED])
+def test_level_j_lattice_is_the_first_nodes_of_level_8(strategy, generator, shift):
+    # so the levels of a system can read windows of the top level's factors
+    top = kronecker_lattice(8, generator, shift, strategy).nodes
+    for j in range(9):
+        nodes = kronecker_lattice(j, generator, shift, strategy).nodes
+        assert np.array_equal(nodes, top[: lattice_size(j)])
 
 
 def test_gram_cutoff_zero():
@@ -324,7 +342,9 @@ def test_generalized_tightness_matches_the_out_of_place_sum(bank, exact):
         combo += np.outer(high(xi), high(xi)) * gram_hi
     scaling = bank.scaling_low(xi)
     want = np.abs(combo - gram_hi)[np.outer(scaling, scaling) != 0.0].max()
-    # the same elementwise sums in the same order: the same bits
+    # for one node set the same elementwise sums in the same order, the same
+    # bits; for two the coarse block products are added last, which leaves
+    # this maximum's bits unchanged
     assert generalized_tightness_residual(rule_lo, rule_hi, bank, j, cutoff) == want
 
 
@@ -365,7 +385,8 @@ def test_node_factors_cache_the_widest_cutoff():
     small = rule.node_factors(3)
     full = rule.node_factors(6)
     part = rule.node_factors(3)
-    assert list(rule._factor_cache) == [6]
+    # one pair, built again at the wider cutoff
+    assert [f.shape for f in rule._factors.pair] == [(7, rule.size)] * 2
     for p, f, s in zip(part, full, small):
         # the smaller cutoff reads contiguous leading rows of the cached pair
         assert p.shape == (4, rule.size) and p.flags.c_contiguous

@@ -13,6 +13,7 @@ from triframe.basis import (
     SpectralVector,
     basis_eval,
     basis_matrix,
+    collapsed_factors,
     degree_cutoff,
     eigenvalue,
     lambda_vector,
@@ -169,7 +170,7 @@ def test_framelet_values_build_no_table(bank):
     sys_ = kronecker_system(bank, 5)
     framelet_values(sys_, "high", 4, 100, triangle_grid(64), n=1)
     framelet_eval(sys_, "low", 3, 7, (0.2, 0.3))
-    assert all(not rule._factor_cache for rule in sys_.rules)
+    assert all(rule._factors.pair is None for rule in sys_.rules)
 
 
 def test_framelet_index_errors(sys_k5):
@@ -670,7 +671,8 @@ def test_sequences_of_mixed_cutoffs_on_one_rule_match_lone_synthesis(sys_k5, rng
     ]
     for seq in seqs:
         seq.values
-    assert list(rule._factor_cache) == [7]
+    # the system's one pair, built at its top cutoff
+    assert [f.shape for f in rule._factors.pair] == [(16, lattice_size(5))] * 2
     _assert_own_memory(seqs)
     for seq in seqs:
         # alone, on a fresh rule whose factors are built at the sequence's cutoff
@@ -691,6 +693,28 @@ def test_analyze_synthesizes_each_high_on_its_own_read(sys_k5, rng, synth_calls)
         h.values
     assert len(synth_calls) == sys_k5.r
     _assert_own_memory(highs)
+
+
+def test_levels_of_a_kronecker_system_read_one_factor_pair(bank):
+    sys_ = kronecker_system(bank, 5)
+    # a lower level asks first, and the pair is built for the top level at
+    # its cutoff
+    sys_.rule(2).node_factors(1)
+    pair = sys_.rule(0)._factors.pair
+    assert [f.shape for f in pair] == [(degree_cutoff(5) + 1, lattice_size(5))] * 2
+    for rule in sys_.rules:
+        cutoff = degree_cutoff(rule.level)
+        factors = rule.node_factors(cutoff)
+        for mine, shared in zip(factors, pair):
+            assert mine.shape == (cutoff + 1, rule.size)
+            assert np.shares_memory(mine, shared)
+        # the window equals the factors of the level's own nodes
+        for mine, own in zip(factors, collapsed_factors(rule.nodes, cutoff)):
+            assert np.array_equal(mine, own)
+    assert all(rule._factors.pair is pair for rule in sys_.rules)
+    # one level's clear_cache clears the pair for every level
+    sys_.rule(3).clear_cache()
+    assert all(rule._factors.pair is None for rule in sys_.rules)
 
 
 def test_fixed_order_values_ignore_the_width_of_cached_factors(sys_k5, rng):
