@@ -44,29 +44,7 @@ class ValidationError(Exception):
         self.absolute_path = absolute_path
 
 
-_NUMBER = {"type": "number"}
-
-_PAIR = {
-    "type": "array",
-    "items": _NUMBER,
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-RULE_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "level", "nodes", "weights"],
-    "properties": {
-        "kind": {"enum": ["kronecker_lattice", "gauss_reference", "custom"]},
-        "level": {"type": ["integer", "null"], "minimum": 0},
-        "generator": {"anyOf": [_PAIR, {"type": "null"}]},
-        "shift": {"anyOf": [_PAIR, {"type": "null"}]},
-        "strategy": {"type": ["string", "null"]},
-        "nodes": {"type": "array", "items": _PAIR},
-        "weights": {"type": "array", "items": _NUMBER},
-    },
-    "additionalProperties": False,
-}
+_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 
 SPECTRAL_SCHEMA = {
     "type": "object",
@@ -148,12 +126,12 @@ _NUMERIC = (int, float)
 
 
 def _items(validator, items, instance, schema):
-    """``items`` with one typed pass over arrays of numbers and [re, im] pairs.
+    """``items`` with one typed pass over arrays of [re, im] pairs.
 
     Only an element the pass cannot accept is handed to jsonschema, so errors
     (message and path) are jsonschema's own.
     """
-    if items is not _PAIR and items is not _NUMBER:
+    if items is not _PAIR:
         import jsonschema
 
         yield from jsonschema.Draft202012Validator.VALIDATORS["items"](
@@ -162,16 +140,10 @@ def _items(validator, items, instance, schema):
         return
     if not validator.is_type(instance, "array"):
         return
-    if items is _PAIR:
-        rejected = (
-            i for i, p in enumerate(instance)
-            if type(p) is not list or len(p) != 2
-            or type(p[0]) not in _NUMERIC or type(p[1]) not in _NUMERIC
-        )
-    else:
-        rejected = (i for i, x in enumerate(instance) if type(x) not in _NUMERIC)
-    for i in rejected:
-        yield from validator.descend(instance[i], items, path=i)
+    for i, p in enumerate(instance):
+        if (type(p) is not list or len(p) != 2
+                or type(p[0]) not in _NUMERIC or type(p[1]) not in _NUMERIC):
+            yield from validator.descend(p, items, path=i)
 
 
 @functools.cache
@@ -352,7 +324,6 @@ def cmd_gen_lattice(args: argparse.Namespace) -> int:
     _check_table_budget(args.command, args.level)
     rule = quadrature.kronecker_lattice(args.level, args.generator, args.shift, args.strategy)
     doc = quadrature.rule_to_dict(rule)
-    _validate(RULE_SCHEMA, doc)
     out = _resolve_out(args.out, f"lattice_j{args.level}.json")
     _write_json(out, doc)
     del doc  # its Python lists take about 150 B per node; the Gram needs none of it

@@ -10,7 +10,7 @@ integrating basis products exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,7 +53,7 @@ def lattice_size(j: int) -> int:
 class _NodeFactors:
     """basis.collapsed_factors of one node array, one pair built at the widest
     cutoff asked for, at least `cutoff`, and shared by every rule whose nodes
-    lead that array."""
+    lead that array (see share_node_factors)."""
 
     def __init__(self, nodes: np.ndarray):
         self.nodes = nodes
@@ -110,19 +110,9 @@ class QuadratureRule:
     def size(self) -> int:
         return self.nodes.shape[0]
 
-    def with_level(self, level: int) -> "QuadratureRule":
-        """Copy of this rule tagged with a framelet level.
-
-        The copy shares the node data and the node factors, so the levels of
-        one node set build them once.
-        """
-        copy = replace(self, level=level)
-        copy._factors = self._factors
-        return copy
-
     def node_factors(self, cutoff: int) -> tuple:
         """basis.collapsed_factors of the nodes, rows 0..cutoff: views of the
-        one cached pair, which the levels of a kronecker_levels family share."""
+        one cached pair, which share_node_factors may share with other rules."""
         return self._factors.window(cutoff, self.size)
 
     def sqrt_weights(self) -> np.ndarray:
@@ -195,25 +185,18 @@ def kronecker_lattice(
     )
 
 
-def kronecker_levels(
-    levels: int,
-    generator=DEFAULT_GENERATOR,
-    shift=DEFAULT_SHIFT,
-    strategy: str = "fold",
-) -> list:
-    """The lattices of levels 0..levels, sharing one pair of node factors.
+def share_node_factors(rules: list, cutoff: int) -> None:
+    """Let every rule whose nodes are the leading nodes of the last rule's
+    read the last rule's node factors, built at least to cutoff.
 
-    Each level is kronecker_lattice(j), so it refuses what it refuses alone.
-    Both strategies walk one point stream, so the level-j nodes are the first
-    4**j + 1 nodes of the top level's: level j reads the window [:L+1, :N_j]
-    of the top level's factors, built once at its degree cutoff.
+    Row a of the factors comes only from rows a-1 and a-2, so a window of the
+    shared pair holds the bits of a pair built for the rule itself.
     """
-    rules = [kronecker_lattice(j, generator, shift, strategy) for j in range(levels + 1)]
-    shared = rules[-1]._factors
-    shared.cutoff = degree_cutoff(levels)
+    top = rules[-1]
+    top._factors.cutoff = cutoff
     for rule in rules[:-1]:
-        rule._factors = shared
-    return rules
+        if rule.nodes is top.nodes or np.array_equal(rule.nodes, top.nodes[: rule.size]):
+            rule._factors = top._factors
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple:

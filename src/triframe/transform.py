@@ -11,7 +11,7 @@ band twice as wide as the low-pass one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,16 +93,23 @@ def require_partition(bank: FilterBank) -> None:
 
 @dataclass
 class FrameletSystem:
-    """A filter bank with one quadrature rule per level 0..J."""
+    """A filter bank with one quadrature rule per level 0..J.
+
+    Every level whose nodes lead the level-J rule's reads the level-J node
+    factors, built at least to degree_cutoff(J).
+    """
 
     bank: FilterBank
     rules: list
 
     def __post_init__(self):
+        if not self.rules:
+            raise ValueError("a framelet system needs at least one rule")
         for j, rule in enumerate(self.rules):
             if rule.level != j:
                 raise ValueError(f"rule at position {j} carries level {rule.level}")
         require_partition(self.bank)
+        _quadrature.share_node_factors(self.rules, degree_cutoff(self.J))
 
     @property
     def J(self) -> int:
@@ -126,10 +133,10 @@ def kronecker_system(
     strategy: str = "fold",
 ) -> FrameletSystem:
     """Framelet system over equal-weight Kronecker lattices for levels
-    0..levels, whose node factors are windows of the top level's."""
-    return FrameletSystem(
-        bank, _quadrature.kronecker_levels(levels, generator, shift, strategy)
-    )
+    0..levels; both strategies walk one point stream, so each level's nodes
+    lead the top level's."""
+    rules = [_quadrature.kronecker_lattice(j, generator, shift, strategy) for j in range(levels + 1)]
+    return FrameletSystem(bank, rules)
 
 
 def reference_system(bank: FilterBank, levels: int) -> FrameletSystem:
@@ -138,7 +145,7 @@ def reference_system(bank: FilterBank, levels: int) -> FrameletSystem:
     Used as the oracle family: exact to degree 2 * degree_cutoff(levels).
     """
     base = _quadrature.gauss_reference_rule(2 * degree_cutoff(levels))
-    return FrameletSystem(bank, [base.with_level(j) for j in range(levels + 1)])
+    return FrameletSystem(bank, [replace(base, level=j) for j in range(levels + 1)])
 
 
 def _symbol_cutoff(symbol: SpectralSymbol, j: int, base_cutoff: int) -> int:
@@ -499,6 +506,8 @@ def tree_from_dict(doc: dict, sys: FrameletSystem) -> FrameletTree:
         if entry["channel"] == "low":
             if j != 0:
                 raise ValueError(f"low-pass entry at j={j}, not j=0")
+            if "n" in entry:
+                raise ValueError(f"low-pass entry carries a channel, n={n}")
             if base is not None:
                 raise ValueError("coefficient tree has a duplicate low-pass entry")
             base = sequence_from_dict(entry, sys)

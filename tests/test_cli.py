@@ -17,7 +17,7 @@ from jsonschema import Draft202012Validator
 from triframe import basis, cli, quadrature
 from triframe.basis import degree_cutoff, tri_dim
 from triframe.filters import FilterBank, bank_to_dict, default_bank
-from triframe.quadrature import lattice_size, rule_from_dict
+from triframe.quadrature import kronecker_lattice, lattice_size, rule_from_dict, rule_to_dict
 from triframe.transform import triangle_grid
 
 
@@ -36,7 +36,7 @@ def test_gen_lattice(tmp_path, capsys):
     out = tmp_path / "rule.json"
     assert cli.main(["gen-lattice", "-j", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    Draft202012Validator(cli.RULE_SCHEMA).validate(doc)
+    assert doc == json.loads(json.dumps(rule_to_dict(kronecker_lattice(3))))
     assert len(doc["nodes"]) == 65
     rule = rule_from_dict(doc)
     assert rule.size == 65
@@ -333,9 +333,11 @@ def _entry_at(doc: dict, channel: str, j: int) -> dict:
          "not 'kronecker_lattice/2'"),
         (lambda doc: _entry_at(doc, "low", 0).update(j=2),
          "error: low-pass entry at j=2, not j=0"),
+        (lambda doc: _entry_at(doc, "low", 0).update(n=1),
+         "error: low-pass entry carries a channel, n=1"),
         (lambda doc: doc.update(r=1), "error: tree has r=1, the bank has 2 high-pass masks"),
     ],
-    ids=["foreign-kind", "wrong-level", "low-pass-j", "wrong-r"],
+    ids=["foreign-kind", "wrong-level", "low-pass-j", "low-pass-n", "wrong-r"],
 )
 def test_transform_reconstruct_refuses_an_entry_off_its_position(
     tmp_path, capsys, rng, edit, message
@@ -932,6 +934,7 @@ def test_cli_runs_without_scipy(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["gen-lattice", "-j", "2"],
         ["diagnostics", "--rules", "reference", "-j", "3"],
         ["sample", "--kind", "masks", "--grid", "16"],
         ["sample", "--kind", "high1", "-j", "2", "--grid", "8"],
@@ -1025,19 +1028,30 @@ def _entry(v, coeffs):
             "v": v, "spectral": {"cutoff": 0, "coeffs": coeffs}}
 
 
+# an array of pairs, which takes the typed pass, beside an array of numbers,
+# which jsonschema's own items checks
+_ARRAYS_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "pair": {"anyOf": [cli._PAIR, {"type": "null"}]},
+        "pairs": {"type": "array", "items": cli._PAIR},
+        "numbers": {"type": "array", "items": {"type": "number"}},
+    },
+}
+
+
 @st.composite
 def _documents(draw):
     """A schema and a document whose number arrays mix valid and invalid items."""
-    kind = draw(st.sampled_from(["spectral", "tree", "rule"]))
+    kind = draw(st.sampled_from(["spectral", "tree", "arrays"]))
     if kind == "spectral":
         return cli.SPECTRAL_SCHEMA, {"cutoff": 1, "coeffs": draw(_ARRAY)}
     if kind == "tree":
         levels = [_entry(draw(_ARRAY), draw(_ARRAY)) for _ in range(2)]
         return cli.TREE_SCHEMA, {"J": 1, "r": 2, "levels": levels}
-    return cli.RULE_SCHEMA, {
-        "kind": "custom", "level": None, "generator": draw(_CANDIDATE),
-        "shift": None, "strategy": None, "nodes": draw(_ARRAY),
-        "weights": draw(st.one_of(st.lists(_ELEMENT, max_size=4), _SCALAR)),
+    return _ARRAYS_SCHEMA, {
+        "pair": draw(_CANDIDATE), "pairs": draw(_ARRAY),
+        "numbers": draw(st.one_of(st.lists(_ELEMENT, max_size=4), _SCALAR)),
     }
 
 

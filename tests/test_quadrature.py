@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from triframe.quadrature import (
     rule_from_dict,
     rule_to_dict,
 )
-from triframe.transform import dft
+from triframe.transform import FrameletSystem, dft, reference_system
 
 # values recorded from the shipped default lattice (generator frac sqrt2 /
 # frac sqrt3, zero shift, fold); tracked as regressions
@@ -248,18 +249,30 @@ def test_reference_rule_exactness_degree(j, degree):
     assert exactness_degree(rule, 1e-12, max_degree=2 * degree_cutoff(j) + 2) == degree
 
 
-def test_with_level_shares_node_factors():
+def test_levels_of_a_reference_system_share_node_factors(bank):
+    # reference_system's levels: replace keeps the node and weight arrays
     rule = gauss_reference_rule(8)
-    levels = [rule.with_level(j) for j in range(3)]
+    levels = [replace(rule, level=j) for j in range(3)]
+    FrameletSystem(bank, levels)
+    assert all(r.nodes is rule.nodes and r.weights is rule.weights for r in levels)
     factors = levels[0].node_factors(4)
-    for other in (levels[2], rule):
+    for other in levels[1:]:
         for mine, shared in zip(other.node_factors(4), factors):
             assert np.shares_memory(mine, shared)
+    # the unleveled base rule is no level of the system and keeps its own pair
+    for mine, shared in zip(rule.node_factors(4), factors):
+        assert not np.shares_memory(mine, shared) and np.array_equal(mine, shared)
     # no Gram is cached: each call builds a fresh one, which its caller owns
     first, second = (gram_matrix(level, 4).entries for level in levels[1:])
     assert first is not second and first.flags.writeable
     assert np.array_equal(first, second)
     assert [r.level for r in levels] == [0, 1, 2] and rule.level is None
+    # reference_system builds its levels so: every level reads one pair
+    sys_ = reference_system(bank, 3)
+    pair = sys_.rule(3).node_factors(degree_cutoff(3))
+    for level in sys_.rules:
+        for mine, shared in zip(level.node_factors(degree_cutoff(level.level)), pair):
+            assert np.shares_memory(mine, shared)
 
 
 # a generator other than the default, with a shift

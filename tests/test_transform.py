@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +24,13 @@ from triframe.basis import (
 )
 from triframe.filters import Piece, SpectralSymbol
 from triframe.quadrature import (
-    gauss_reference_rule,
     gram_matrix,
     kronecker_lattice,
     lattice_size,
 )
 from triframe.transform import (
     CoefficientSequence,
+    FrameletSystem,
     adjoint_dft,
     analyze,
     analyze_lowpass,
@@ -432,10 +433,10 @@ def test_dft_linearity(sys_k5, rng):
     assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(lhs).max()
 
 
-def test_dft_adjoint_recovers_under_exact_rule(rng):
+def test_dft_adjoint_recovers_under_exact_rule(bank, rng):
     j = 4
     cut = degree_cutoff(j)
-    rule = gauss_reference_rule(2 * cut).with_level(j)
+    rule = reference_system(bank, j).rule(j)
     u = random_spectral(cut, rng)
     back = adjoint_dft(dft(u, j, rule), j, rule)
     assert np.abs(back.coeffs - u.coeffs).max() < 1e-12
@@ -589,11 +590,14 @@ def test_bit_reproducible_mode(sys_k5, rng):
 
 
 def test_system_validation(bank):
-    from triframe.transform import FrameletSystem
-
     # a level-1 lattice labelled level 0 is refused by the rule itself
     with pytest.raises(ValueError, match="level-0 lattice must have 2 nodes"):
-        FrameletSystem(bank, [kronecker_lattice(0), kronecker_lattice(1).with_level(0)])
+        FrameletSystem(bank, [kronecker_lattice(0), replace(kronecker_lattice(1), level=0)])
+
+
+def test_system_without_rules_is_refused(bank):
+    with pytest.raises(ValueError, match="at least one rule"):
+        FrameletSystem(bank, [])
 
 
 # -- synthesis: one engine call per sequence, on its first read --
@@ -715,6 +719,31 @@ def test_levels_of_a_kronecker_system_read_one_factor_pair(bank):
     # one level's clear_cache clears the pair for every level
     sys_.rule(3).clear_cache()
     assert all(rule._factors.pair is None for rule in sys_.rules)
+
+
+def test_a_system_built_from_lattices_reads_one_factor_pair(bank):
+    rules = [kronecker_lattice(j) for j in range(6)]
+    FrameletSystem(bank, rules)
+    pair = rules[-1].node_factors(degree_cutoff(5))
+    assert [f.shape for f in pair] == [(degree_cutoff(5) + 1, lattice_size(5))] * 2
+    for rule in rules:
+        for mine, shared in zip(rule.node_factors(degree_cutoff(rule.level)), pair):
+            assert np.shares_memory(mine, shared)
+
+
+def test_a_level_off_the_top_node_set_keeps_its_own_factors(bank):
+    shifted = kronecker_lattice(2, shift=(0.1, 0.2))
+    rules = [kronecker_lattice(0), kronecker_lattice(1), shifted, kronecker_lattice(3)]
+    FrameletSystem(bank, rules)
+    cutoff = degree_cutoff(2)
+    top = rules[-1].node_factors(degree_cutoff(3))
+    own = collapsed_factors(shifted.nodes, cutoff)
+    for mine, shared, alone in zip(shifted.node_factors(cutoff), top, own):
+        assert not np.shares_memory(mine, shared)
+        assert np.array_equal(mine, alone)
+    # the unshifted lower levels still lead the top level's nodes
+    for rule in rules[:2]:
+        assert np.shares_memory(rule.node_factors(0)[0], top[0])
 
 
 def test_fixed_order_values_ignore_the_width_of_cached_factors(sys_k5, rng):
