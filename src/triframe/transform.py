@@ -407,24 +407,28 @@ def triangle_grid(resolution: int) -> np.ndarray:
     return pts[pts.sum(axis=1) <= 1.0]
 
 
-def relative_difference(
-    a: CoefficientSequence, b: CoefficientSequence, *, fixed_order: bool = False
-) -> float:
-    """Max of spectral and point-value deviations, relative to the larger norm."""
+def relative_difference(a: CoefficientSequence, b: CoefficientSequence) -> float:
+    """Largest deviation between the two spectra, zero-padded to the larger
+    cutoff, relative to the larger spectrum's largest entry; inf when the
+    sequences are not on one node set (one rule, or equal nodes and weights).
+
+    Point values are a linear image of the spectrum on the carrying rule, so
+    the spectra decide and nothing is synthesized: no engine call, no BLAS,
+    the same bits under any threading.
+    """
+    one_node_set = a.rule is b.rule or (
+        np.array_equal(a.rule.nodes, b.rule.nodes)
+        and np.array_equal(a.rule.weights, b.rule.weights)
+    )
+    if not one_node_set:
+        return float("inf")
     cut = max(a.spectral.cutoff, b.spectral.cutoff)
     sa = a.spectral.resized(cut).coeffs
     sb = b.spectral.resized(cut).coeffs
-    va, vb = (_point_values(s, fixed_order) for s in (a, b))
     scale = max(
-        np.abs(sa).max(initial=0.0),
-        np.abs(sb).max(initial=0.0),
-        np.abs(va).max(initial=0.0),
-        np.abs(vb).max(initial=0.0),
-        np.finfo(float).tiny,
+        np.abs(sa).max(initial=0.0), np.abs(sb).max(initial=0.0), np.finfo(float).tiny
     )
-    spectral_err = np.abs(sa - sb).max(initial=0.0)
-    value_err = np.abs(va - vb).max(initial=0.0) if va.shape == vb.shape else np.inf
-    return float(max(spectral_err, value_err) / scale)
+    return float(np.abs(sa - sb).max(initial=0.0) / scale)
 
 
 def _complex_pairs(arr: np.ndarray) -> list:

@@ -378,6 +378,19 @@ def test_transform_bit_repro_is_deterministic(tmp_path, rng):
     assert outs[0] == outs[1]
 
 
+def test_roundtrip_residual_does_not_depend_on_bit_repro(tmp_path, capsys, rng):
+    # the residual compares spectra, which no flag or BLAS order touches
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, degree_cutoff(5), rng)
+    lines = []
+    for flags in ([], ["--bit-repro"]):
+        argv = ["transform", "--roundtrip", "-j", "5", "--input", str(f_path),
+                "--out", str(tmp_path / "tree.json"), *flags]
+        assert cli.main(argv) == 0
+        lines.append(capsys.readouterr().out.splitlines()[-1])
+    assert lines[0] == lines[1] and lines[0].startswith("round-trip residual: ")
+
+
 def test_diagnostics_report(tmp_path, capsys):
     out = tmp_path / "diag.json"
     code = cli.main(["diagnostics", "-j", "2", "--out", str(out)])

@@ -355,10 +355,24 @@ def test_generalized_tightness_matches_the_out_of_place_sum(bank, exact):
         combo += np.outer(high(xi), high(xi)) * gram_hi
     scaling = bank.scaling_low(xi)
     want = np.abs(combo - gram_hi)[np.outer(scaling, scaling) != 0.0].max()
-    # for one node set the same elementwise sums in the same order, the same
-    # bits; for two the coarse block products are added last, which leaves
-    # this maximum's bits unchanged
-    assert generalized_tightness_residual(rule_lo, rule_hi, bank, j, cutoff) == want
+    got = generalized_tightness_residual(rule_lo, rule_hi, bank, j, cutoff)
+    if exact:
+        # one node set: the same elementwise sums in the same order, the same bits
+        assert got == want
+        return
+    # two node sets: the coarse Gram is summed node by node from the
+    # mask-scaled table and added after the fine terms, another rounding
+    # order of each entry's sum of n terms: rule_lo.size node terms, r
+    # high-pass terms and the fine Gram.  Two orders of a sum of n terms
+    # differ by at most (n - 1) * eps * sum|term| (each lies within
+    # (n - 1) * eps / 2 of the exact sum).  Masks are at most 1 with squares
+    # summing to 1, and a positive-weight Gram entry is at most its largest
+    # diagonal entry, so sum|term| <= max|gram_lo| + 2 * max|gram_hi|.  Four
+    # more count the roundings of scaling a table entry and of each product.
+    n = rule_lo.size + bank.r + 1
+    c = (n - 1) + 4
+    scale = np.abs(gram_lo).max() + 2 * np.abs(gram_hi).max()
+    assert abs(got - want) <= c * np.finfo(float).eps * scale
 
 
 def test_generalized_tightness_cutoff_guard(bank):

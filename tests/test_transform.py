@@ -600,6 +600,51 @@ def test_system_without_rules_is_refused(bank):
         FrameletSystem(bank, [])
 
 
+# -- relative_difference: the spectra compared, nothing synthesized --
+
+
+def test_relative_difference_synthesizes_nothing(sys_k5, rng, monkeypatch):
+    from triframe import transform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("relative_difference ran the synthesis engine")
+
+    monkeypatch.setattr(transform, "factored_sum", refuse)
+    top = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(5), rng), 5)
+    recon = multilevel_reconstruct(sys_k5, multilevel_decompose(sys_k5, top))
+    assert relative_difference(top, recon) <= 1e-12
+    assert top._values is None and recon._values is None
+
+
+def test_relative_difference_needs_one_node_set(rng):
+    f = random_spectral(degree_cutoff(3), rng)
+    a = CoefficientSequence(kronecker_lattice(3, shift=(0.1, 0.2)), f)
+    # the same spectrum on more nodes, and on as many nodes shifted elsewhere
+    for rule in (kronecker_lattice(4, shift=(0.1, 0.2)), kronecker_lattice(3, shift=(0.3, 0.7))):
+        assert relative_difference(a, CoefficientSequence(rule, f)) == math.inf
+    # two rule objects with equal nodes and weights are one node set
+    c = CoefficientSequence(kronecker_lattice(3, shift=(0.1, 0.2)), f)
+    assert c.rule is not a.rule
+    assert relative_difference(a, c) == 0.0
+
+
+def test_relative_difference_is_the_largest_spectral_change(sys_k5, rng):
+    cut = degree_cutoff(3)
+    f = random_spectral(cut, rng)
+    top = np.abs(f.coeffs).max()
+    changed = f.coeffs.copy()
+    changed[7] += 1e-6 * top
+    a = CoefficientSequence(sys_k5.rule(3), f)
+    b = CoefficientSequence(sys_k5.rule(3), SpectralVector(cut, changed))
+    assert relative_difference(a, b) == pytest.approx(1e-6, rel=1e-6)
+    # a wider spectrum is compared against the narrower one zero-padded
+    padded = f.resized(cut + 2).coeffs
+    padded[-1] = 3e-4 * top
+    c = CoefficientSequence(sys_k5.rule(3), SpectralVector(cut + 2, padded))
+    assert relative_difference(a, c) == pytest.approx(3e-4, rel=1e-12)
+    assert relative_difference(c, a) == relative_difference(a, c)
+
+
 # -- synthesis: one engine call per sequence, on its first read --
 
 
