@@ -237,7 +237,7 @@ def _resolve_out(out: str | None, default_name: str) -> Path:
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the strings of chunks, in turn, to a temp file renamed to path.
+    """Write the bytes of chunks, in turn, to a temp file renamed to path.
 
     Mode 0o666 gives the artifact 0o666 & ~umask, as a plain open() would.
     """
@@ -245,7 +245,7 @@ def _atomic_write(path: Path, chunks) -> None:
     tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}"
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -254,31 +254,93 @@ def _atomic_write(path: Path, chunks) -> None:
         raise
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    # no indent: indentation forces CPython's pure-Python encoder; NaN and
-    # Infinity are refused, so no artifact holds them; documents are trees of
-    # fresh dicts and lists, so the cycle check is skipped
-    _atomic_write(path, (json.dumps(doc, allow_nan=False, check_circular=False), "\n"))
+# rows of an array formatted per orjson call, so no artifact's text is held whole
+_CHUNK_ROWS = 1024
 
 
-def _formatted(column, end: str) -> np.ndarray:
-    """repr(float(v)) + end for each value, as an object array of shared strings.
+def _float_text(block: np.ndarray) -> bytes:
+    """The nested-list text orjson writes for a C-contiguous float64 array,
+    with each number spelled repr(float(v)).
 
-    Each distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart.
+    orjson prints repr's shortest digits (Ryu), but spells nonzero magnitudes
+    below 1e-4 or from 1e16 on its own way and writes NaN and infinities as
+    null.  Those positions are set to NaN, and each null orjson writes for
+    them is replaced by the value's repr.
     """
-    bits = np.ascontiguousarray(column, dtype=float).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) + end for v in distinct.view(float).tolist()], dtype=object)
-    return text[inverse]
+    import orjson
+
+    magnitude = np.abs(block)
+    respelled = ((magnitude < 1e-4) | ~(magnitude < 1e16)) & (block != 0.0)
+    if not respelled.any():
+        return orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    parts = orjson.dumps(
+        np.where(respelled, np.nan, block), option=orjson.OPT_SERIALIZE_NUMPY
+    ).split(b"null")
+    text = [b""] * (2 * len(parts) - 1)
+    text[::2] = parts
+    text[1::2] = [repr(v).encode() for v in block[respelled].tolist()]
+    return b"".join(text)
+
+
+def _json_array(arr: np.ndarray):
+    """json.dumps(arr.tolist(), allow_nan=False) of a float64 array, in pieces."""
+    if arr.dtype != np.float64:
+        raise TypeError(f"arrays are written as float64, not {arr.dtype}")
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        json.dumps(float(bad[0]), allow_nan=False)  # raises json's own ValueError
+    yield b"["
+    for start in range(0, len(arr), _CHUNK_ROWS):
+        chunk = np.ascontiguousarray(arr[start:start + _CHUNK_ROWS])
+        yield (b", " if start else b"") + _float_text(chunk)[1:-1].replace(b",", b", ")
+    yield b"]"
+
+
+def _json_chunks(obj):
+    """json.dumps(obj, allow_nan=False) in pieces, for documents with str keys
+    whose float64 arrays stand for the nested lists of their tolist()."""
+    if isinstance(obj, np.ndarray):
+        yield from _json_array(obj)
+    elif isinstance(obj, dict):
+        sep = b"{"
+        for key, value in obj.items():
+            yield sep + json.dumps(key).encode() + b": "
+            yield from _json_chunks(value)
+            sep = b", "
+        yield b"}" if obj else b"{}"
+    elif isinstance(obj, (list, tuple)):
+        sep = b"["
+        for value in obj:
+            yield sep
+            yield from _json_chunks(value)
+            sep = b", "
+        yield b"]" if obj else b"[]"
+    else:
+        yield json.dumps(obj, allow_nan=False).encode()
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    # no indent, json's default separators; NaN and Infinity are refused, so
+    # no artifact holds them
+    _atomic_write(path, itertools.chain(_json_chunks(doc), [b"\n"]))
 
 
 def _write_csv(path: Path, header: list, columns) -> None:
     """One row per index of the equal-length columns, each value repr(float(v))."""
-    ends = [","] * (len(columns) - 1) + ["\n"]
-    cells = [_formatted(col, end) for col, end in zip(columns, ends)]
-    # rows are streamed to the file, never joined into one text
-    rows = map("".join, zip(*cells))
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows))
+    columns = [np.asarray(col, dtype=float) for col in columns]
+
+    def rows():
+        yield (",".join(header) + "\n").encode()
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            block = np.column_stack([col[start:start + _CHUNK_ROWS] for col in columns])
+            # [a,b,c,d] -> a,b\nc,d\n: every len(columns)-th comma and the
+            # closing bracket end a row
+            text = np.frombuffer(_float_text(block.ravel()), dtype=np.uint8)[1:].copy()
+            text[-1] = ord("\n")
+            text[np.flatnonzero(text == ord(","))[len(columns) - 1::len(columns)]] = ord("\n")
+            yield text.tobytes()
+
+    _atomic_write(path, rows())
 
 
 def _reject_constant(token: str):
@@ -323,10 +385,8 @@ def _build_system(args, levels: int, rules: str = "kronecker") -> transform.Fram
 def cmd_gen_lattice(args: argparse.Namespace) -> int:
     _check_table_budget(args.command, args.level)
     rule = quadrature.kronecker_lattice(args.level, args.generator, args.shift, args.strategy)
-    doc = quadrature.rule_to_dict(rule)
     out = _resolve_out(args.out, f"lattice_j{args.level}.json")
-    _write_json(out, doc)
-    del doc  # its Python lists take about 150 B per node; the Gram needs none of it
+    _write_json(out, quadrature.rule_to_dict(rule))
     cutoff = basis.degree_cutoff(args.level)
     deviation = quadrature.gram_matrix(rule, cutoff).max_deviation_from_identity()
     print(f"nodes: {rule.size}")

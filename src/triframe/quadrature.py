@@ -418,8 +418,8 @@ def rule_to_dict(rule: QuadratureRule) -> dict:
         "generator": meta.get("generator"),
         "shift": meta.get("shift"),
         "strategy": meta.get("strategy"),
-        "nodes": rule.nodes.tolist(),
-        "weights": rule.weights.tolist(),
+        "nodes": rule.nodes,
+        "weights": rule.weights,
     }
 
 

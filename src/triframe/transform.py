@@ -402,9 +402,14 @@ def triangle_grid(resolution: int) -> np.ndarray:
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     axis = np.linspace(0.0, 1.0, resolution)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack((xx.ravel(), yy.ravel()), axis=1)
-    return pts[pts.sum(axis=1) <= 1.0]
+    # row by row, never the full square: point (axis[i], axis[k]) is kept
+    # when axis[i] + axis[k] <= 1.0, in row-major order
+    rows = [axis[x + axis <= 1.0] for x in axis]
+    counts = [len(row) for row in rows]
+    pts = np.empty((sum(counts), 2))
+    pts[:, 0] = np.repeat(axis, counts)
+    np.concatenate(rows, out=pts[:, 1])
+    return pts
 
 
 def relative_difference(a: CoefficientSequence, b: CoefficientSequence) -> float:
@@ -431,9 +436,10 @@ def relative_difference(a: CoefficientSequence, b: CoefficientSequence) -> float
     return float(np.abs(sa - sb).max(initial=0.0) / scale)
 
 
-def _complex_pairs(arr: np.ndarray) -> list:
+def _complex_pairs(arr: np.ndarray) -> np.ndarray:
+    """The (n, 2) float64 array of [re, im] pairs that cli writes as JSON."""
     arr = np.asarray(arr, dtype=complex)
-    return np.column_stack((arr.real, arr.imag)).tolist()
+    return np.column_stack((arr.real, arr.imag))
 
 
 def _pairs_to_array(pairs) -> np.ndarray:

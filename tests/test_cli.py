@@ -36,7 +36,8 @@ def test_gen_lattice(tmp_path, capsys):
     out = tmp_path / "rule.json"
     assert cli.main(["gen-lattice", "-j", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc == json.loads(json.dumps(rule_to_dict(kronecker_lattice(3))))
+    want = rule_to_dict(kronecker_lattice(3))
+    assert doc == json.loads(json.dumps(want, default=np.ndarray.tolist))
     assert len(doc["nodes"]) == 65
     rule = rule_from_dict(doc)
     assert rule.size == 65
@@ -50,7 +51,9 @@ def test_gen_lattice_json_round_trips_bitexactly(tmp_path):
     cli.main(["gen-lattice", "-j", "2", "--out", str(out)])
     text = out.read_text()
     doc = json.loads(text)
-    rebuilt = json.dumps(cli.quadrature.rule_to_dict(rule_from_dict(doc))) + "\n"
+    rebuilt = json.dumps(
+        cli.quadrature.rule_to_dict(rule_from_dict(doc)), default=np.ndarray.tolist
+    ) + "\n"
     assert rebuilt == text
 
 
@@ -607,13 +610,25 @@ def test_write_json_bytes_match_json_dumps(tmp_path, monkeypatch, rng):
     monkeypatch.setattr(cli, "_write_json", recording)
     f_path = tmp_path / "f.json"
     _write_spectral(f_path, degree_cutoff(3), rng)
-    tree, report = tmp_path / "tree.json", tmp_path / "report.json"
-    assert cli.main(["transform", "--decompose", "-j", "3", "--input", str(f_path),
-                     "--out", str(tree)]) == 0
-    assert cli.main(["diagnostics", "-j", "2", "--out", str(report)]) == 0
-    assert [path for path, _ in written] == [tree, report]
+    outs = []
+
+    def run(*argv):
+        outs.append(tmp_path / f"out{len(outs)}.json")
+        assert cli.main([*argv, "--out", str(outs[-1])]) == 0
+        return str(outs[-1])
+
+    # every command that writes JSON
+    run("transform", "--decompose", "-j", "3", "--input", str(f_path))
+    run("gen-lattice", "-j", "3")
+    run("diagnostics", "-j", "2")
+    run("diagnostics", "-j", "2", "--rules", "reference")
+    for repro in ([], ["--bit-repro"]):
+        tree = run("transform", "--roundtrip", "-j", "3", "--input", str(f_path), *repro)
+        run("transform", "--reconstruct", "-j", "3", "--input", tree, *repro)
+    assert [path for path, _ in written] == outs
     for path, doc in written:
-        assert path.read_text() == json.dumps(doc, allow_nan=False) + "\n"
+        want = json.dumps(doc, allow_nan=False, default=np.ndarray.tolist) + "\n"
+        assert path.read_text() == want
 
 
 def test_sample_masks(tmp_path):
@@ -783,9 +798,21 @@ def test_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
 def test_write_json_refuses_non_finite_numbers(tmp_path):
     out = tmp_path / "doc.json"
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._write_json(out, {"x": [1.0, bad]})
-        assert list(tmp_path.iterdir()) == []
+        # a list, a pair array, and an array whose bad value lies past the first chunk
+        docs = [{"x": [1.0, bad]}, {"x": np.array([[1.0, bad]])},
+                {"x": [np.append(np.ones(3000), bad)]}]
+        for doc in docs:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli._write_json(out, doc)
+            assert list(tmp_path.iterdir()) == []
+
+
+def test_write_json_refuses_arrays_other_than_float64(tmp_path):
+    # orjson spells integers and float32 values unlike json.dumps of tolist()
+    for arr in (np.arange(3), np.ones(3, dtype=np.float32)):
+        with pytest.raises(TypeError, match="float64"):
+            cli._write_json(tmp_path / "doc.json", {"x": arr})
+    assert list(tmp_path.iterdir()) == []
 
 
 _BANK_DOC = bank_to_dict(default_bank())
@@ -955,6 +982,14 @@ def test_cli_runs_without_scipy(tmp_path):
 )
 def test_cli_imports_jsonschema_only_to_validate_a_document(tmp_path, argv):
     assert "wrote" in _run_without("jsonschema", [*argv, "--out", str(tmp_path / "out")])
+
+
+def test_importing_the_cli_loads_neither_jsonschema_nor_orjson():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    check = "import sys, triframe.cli; print(sorted({'jsonschema', 'orjson'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_custom_bank_file(tmp_path):
@@ -1141,6 +1176,69 @@ def test_sample_framelet_csv_bytes(tmp_path, monkeypatch):
     pts = triangle_grid(8)
     want = _old_csv(["x1", "x2", "value"], np.column_stack((pts, seen["values"])))
     assert out.read_text() == want
+
+
+# orjson spells these ranges unlike repr: nonzero magnitudes below 1e-4 or from
+# 1e16 on, NaN and infinities; each boundary with its neighbours
+_EDGES = np.array([
+    np.nextafter(b, toward) for b in (1e-4, 1e16) for toward in (0.0, b, np.inf)
+] + [5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+     1.7976931348623157e308, 0.0, np.nan, np.inf])
+_EDGE_BITS = np.concatenate([_EDGES, -_EDGES]).view(np.uint64).tolist()
+_BIT_PATTERNS = st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(_EDGE_BITS),
+                         min_size=1, max_size=40)
+
+
+def _assert_same_pieces(got: str, want: str, sep: str) -> None:
+    """got == want, reported at the first piece that differs: pytest takes
+    minutes to diff two long texts whole."""
+    for piece, wanted in zip(got.split(sep), want.split(sep), strict=True):
+        assert piece == wanted
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=_BIT_PATTERNS, rows=st.integers(0, 2600))
+def test_writers_spell_every_double_as_repr(tmp_path_factory, bits, rows):
+    # rows up to 2600 cross the writers' chunk boundaries
+    values = np.resize(np.array(bits, dtype=np.uint64).view(np.float64), rows)
+    out = tmp_path_factory.getbasetemp() / "numbers.csv"
+    cli._write_csv(out, ["v", "w"], [values, values[::-1]])
+    lines = [f"{float(a)!r},{float(b)!r}" for a, b in zip(values, values[::-1])]
+    _assert_same_pieces(out.read_text(), "\n".join(["v,w", *lines]) + "\n", "\n")
+    finite = values[np.isfinite(values)]
+    out = tmp_path_factory.getbasetemp() / "numbers.json"
+    cli._write_json(out, {"v": finite})
+    want = json.dumps({"v": [float(v) for v in finite]}) + "\n"
+    _assert_same_pieces(out.read_text(), want, ", ")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [float(v) for v in _EDGES[np.isfinite(_EDGES)]]
+)
+
+
+@st.composite
+def _array_documents(draw):
+    """Documents holding float64 arrays of shape (0, 2), (n, 2) and (n,),
+    with strings that json escapes or that hold its separators."""
+    n = draw(st.integers(0, 1100))
+    values = np.resize(np.array(draw(st.lists(_FINITE, min_size=1, max_size=30))), 3 * n)
+    text = st.text(max_size=6) | st.sampled_from([", ", ": ", "[1,2]", "\u00e9\n\"", ""])
+    return {
+        draw(text): values[: 2 * n].reshape(n, 2),
+        "empty": np.empty((0, 2)),
+        "levels": [{"w": values[2 * n:], "s": draw(text)}, draw(_FINITE), 2**70, None, True],
+        "pair": (draw(_FINITE), draw(_FINITE)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_array_documents())
+def test_write_json_matches_json_dumps_of_the_lists(tmp_path_factory, doc):
+    out = tmp_path_factory.getbasetemp() / "doc.json"
+    cli._write_json(out, doc)
+    want = json.dumps(doc, allow_nan=False, default=np.ndarray.tolist) + "\n"
+    _assert_same_pieces(out.read_text(), want, ", ")
 
 
 def test_write_json_parses_to_indented_document(tmp_path):

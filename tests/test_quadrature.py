@@ -385,12 +385,12 @@ def test_generalized_tightness_cutoff_guard(bank):
 def test_rule_serialization_round_trip():
     rule = kronecker_lattice(3)
     doc = rule_to_dict(rule)
-    text = json.dumps(doc)
+    text = json.dumps(doc, default=np.ndarray.tolist)
     back = rule_from_dict(json.loads(text))
     assert np.array_equal(back.nodes, rule.nodes)
     assert np.array_equal(back.weights, rule.weights)
     assert back.kind == rule.kind and back.level == rule.level
-    assert json.dumps(rule_to_dict(back)) == text
+    assert json.dumps(rule_to_dict(back), default=np.ndarray.tolist) == text
 
 
 def test_rule_validation():

@@ -139,6 +139,19 @@ def test_framelet_matches_direct_sum_oracle(sys_k5, bank):
         )
 
 
+@pytest.mark.parametrize("resolution", [*range(2, 40), 255, 256, 1000, 2047, 2048])
+def test_triangle_grid_matches_the_filtered_square(resolution):
+    """Row by row, the grid keeps the points and the order of the filtered
+    full square, bit for bit."""
+    axis = np.linspace(0.0, 1.0, resolution)
+    xx, yy = np.meshgrid(axis, axis, indexing="ij")
+    square = np.stack((xx.ravel(), yy.ravel()), axis=1)
+    want = square[square.sum(axis=1) <= 1.0]
+    got = triangle_grid(resolution)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 def test_framelet_values_matches_pointwise(sys_k5):
     pts = triangle_grid(17)
     vals = framelet_values(sys_k5, "low", 2, 5, pts)
@@ -519,7 +532,7 @@ def test_parseval_kronecker_matches_gram_prediction(sys_k5, rng):
 
 def test_sequence_serialization_round_trip(sys_k5, rng):
     v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(3), rng), 3)
-    doc = json.loads(json.dumps(sequence_to_dict(v)))
+    doc = json.loads(json.dumps(sequence_to_dict(v), default=np.ndarray.tolist))
     back = sequence_from_dict(doc, sys_k5)
     assert np.array_equal(back.values, v.values)
     assert np.array_equal(back.spectral.coeffs, v.spectral.coeffs)
@@ -528,7 +541,7 @@ def test_sequence_serialization_round_trip(sys_k5, rng):
 
 def test_loaded_sequence_checks_the_form_of_its_values_and_synthesizes_them(sys_k5, rng):
     v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(3), rng), 3)
-    doc = json.loads(json.dumps(sequence_to_dict(v)))
+    doc = json.loads(json.dumps(sequence_to_dict(v), default=np.ndarray.tolist))
     # the values are checked for form and not read back
     doc["v"] = [[0.0, 0.0]] * len(doc["v"])
     assert np.array_equal(sequence_from_dict(doc, sys_k5).values, v.values)
@@ -540,7 +553,7 @@ def test_loaded_sequence_checks_the_form_of_its_values_and_synthesizes_them(sys_
 def test_tree_serialization_round_trip(sys_k5, rng):
     v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(3), rng), 3)
     tree = multilevel_decompose(sys_k5, v)
-    doc = json.loads(json.dumps(tree_to_dict(tree)))
+    doc = json.loads(json.dumps(tree_to_dict(tree), default=np.ndarray.tolist))
     back = tree_from_dict(doc, sys_k5)
     assert relative_difference(back.base, tree.base) == 0.0
     for got, want in zip(back.details, tree.details):
@@ -557,7 +570,7 @@ def test_tree_serialization_round_trip(sys_k5, rng):
 
 
 def test_complex_pairs_match_float_loop(rng):
-    """The array conversion gives the floats the per-element loop gave."""
+    """The (n, 2) float64 pairs hold the floats the per-element loop gave."""
     from triframe.transform import _complex_pairs
 
     special = np.array([-0.0, 1e-300, 1e300, 3.0, 5e-324])
@@ -570,8 +583,8 @@ def test_complex_pairs_match_float_loop(rng):
     for arr in cases:
         want = [[float(z.real), float(z.imag)] for z in np.asarray(arr, dtype=complex)]
         got = _complex_pairs(arr)
-        assert repr(got) == repr(want)
-        assert all(type(x) is float for pair in got for x in pair)
+        assert got.dtype == np.float64 and got.shape == (len(want), 2)
+        assert repr(got.tolist()) == repr(want)
 
 
 def _written_values(seq):
