@@ -502,36 +502,34 @@ def tree_to_dict(tree: FrameletTree, *, fixed_order: bool = False) -> dict:
     return {"J": tree.J, "r": tree.r, "levels": levels}
 
 
+def _position(channel: str, j: int, n: int | None) -> str:
+    return f"({channel}, j={j})" if n is None else f"({channel}, j={j}, n={n})"
+
+
 def tree_from_dict(doc: dict, sys: FrameletSystem) -> FrameletTree:
+    """The tree of a document valid under cli.TREE_SCHEMA, whose entries take
+    the positions (low, j=0) and (high, j, n), j < J, 1 <= n <= r, once each."""
     J = int(doc["J"])
     r = int(doc["r"])
     if J > sys.J:
         raise ValueError(f"tree top level {J} exceeds system level {sys.J}")
     if r != sys.r:
         raise ValueError(f"tree has r={r}, the bank has {sys.r} high-pass masks")
-    base = None
-    details = [[None] * r for _ in range(J)]
+    slots = dict.fromkeys(
+        [("low", 0, None)] + [("high", j, n) for j in range(J) for n in range(1, r + 1)]
+    )
     for entry in doc["levels"]:
-        j, n = int(entry["j"]), int(entry.get("n", 0))
-        if entry["channel"] == "low":
-            if j != 0:
-                raise ValueError(f"low-pass entry at j={j}, not j=0")
-            if "n" in entry:
-                raise ValueError(f"low-pass entry carries a channel, n={n}")
-            if base is not None:
-                raise ValueError("coefficient tree has a duplicate low-pass entry")
-            base = sequence_from_dict(entry, sys)
-            continue
-        if not (0 <= j < J and 1 <= n <= r):
+        key = (entry["channel"], int(entry["j"]), entry.get("n"))
+        if key not in slots:
             raise ValueError(
-                f"high-pass entry (j={j}, n={n}) outside the tree's "
-                f"{J} levels and {r} channels"
+                f"coefficient tree has no position {_position(*key)}; its positions are "
+                f"(low, j=0) and (high, j, n) for j < {J} and 1 <= n <= {r}"
             )
-        if details[j][n - 1] is not None:
-            raise ValueError(
-                f"coefficient tree has a duplicate entry (high, j={j}, n={n})"
-            )
-        details[j][n - 1] = sequence_from_dict(entry, sys)
-    if base is None or any(h is None for highs in details for h in highs):
-        raise ValueError("coefficient tree is missing entries")
-    return FrameletTree(base=base, details=details)
+        if slots[key] is not None:
+            raise ValueError(f"coefficient tree has a duplicate entry {_position(*key)}")
+        slots[key] = sequence_from_dict(entry, sys)
+    missing = [_position(*key) for key, seq in slots.items() if seq is None]
+    if missing:
+        raise ValueError(f"coefficient tree is missing entries {', '.join(missing)}")
+    seqs = iter(slots.values())
+    return FrameletTree(next(seqs), [[next(seqs) for _ in range(r)] for _ in range(J)])

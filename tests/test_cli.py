@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -240,26 +241,105 @@ def test_transform_schema_violation(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "coeffs, message",
-    [
-        ("[[NaN, 0], [1, 0], [0, Infinity]]", "validation error"),
-        ("[[1, 0], [-Infinity, 0], [0, 0]]", "validation error"),
-        ("[[1e400, 0], [0, 0], [0, 0]]", "non-finite"),
-        ("[[1%s, 0], [0, 0], [0, 0]]" % ("0" * 400), "non-finite"),
-    ],
-)
-def test_transform_rejects_non_finite_numbers(tmp_path, capsys, coeffs, message):
-    f_path = tmp_path / "f.json"
-    f_path.write_text('{"cutoff": 1, "coeffs": %s}' % coeffs)
-    out = tmp_path / "t.json"
-    code = cli.main(
-        ["transform", "--roundtrip", "-j", "2", "--input", str(f_path),
-         "--out", str(out)]
-    )
-    assert code == 2
-    assert message in capsys.readouterr().err
+def _input_document(tmp_path, rng, kind: str):
+    """A valid input document of kind, the J=2 tree of a random spectrum for
+    "tree", and the command reading it, without the path of the input."""
+    if kind == "spectrum":
+        return {"cutoff": 1, "coeffs": [[0.5, 0.0], [1.0, 0.0], [0.0, 0.0]]}, [
+            "transform", "--roundtrip", "-j", "2", "--input"]
+    if kind == "tree":
+        f_path, tree_path = tmp_path / "f.json", tmp_path / "tree.json"
+        _write_spectral(f_path, degree_cutoff(2), rng)
+        argv = ["transform", "--decompose", "-j", "2", "--input", str(f_path)]
+        assert cli.main([*argv, "--out", str(tree_path)]) == 0
+        return json.loads(tree_path.read_text()), [
+            "transform", "--reconstruct", "-j", "2", "--input"]
+    return bank_to_dict(default_bank()), ["sample", "--kind", "masks", "--grid", "8", "--bank"]
+
+
+def _spelled_at(doc, path: list, text: str) -> str:
+    """json.dumps(doc, indent=1) with the value at path, or the whole
+    document for an empty path, spelled as text."""
+    if not path:
+        return text
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@"
+    return json.dumps(doc, indent=1).replace('"@"', text)
+
+
+def _refused_input(tmp_path, capsys, argv: list, text: str) -> str:
+    """stderr of argv given an input file holding text, after checking that
+    it exits 2 and writes nothing, neither an artifact nor stdout."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = tmp_path / "out.file"
+    capsys.readouterr()
+    assert cli.main([*argv, str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
     assert not out.exists()
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+    return captured.err
+
+
+# a number in each input kind: a coefficient, a tree entry's coefficient, a
+# bank piece's bound
+_NUMBER_AT = {
+    "spectrum": ["coeffs", 1, 0],
+    "tree": ["levels", 1, "spectral", "coeffs", 0, 0],
+    "bank": ["low", "pieces", 0, "hi"],
+}
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "-Infinity", "1e400", "-1e400", "1" + "0" * 400],
+    ids=["NaN", "-Infinity", "1e400", "-1e400", "401-digits"],
+)
+@pytest.mark.parametrize("kind", sorted(_NUMBER_AT))
+def test_number_outside_a_double_is_malformed_json(tmp_path, capsys, rng, kind, literal):
+    doc, argv = _input_document(tmp_path, rng, kind)
+    text = _spelled_at(doc, _NUMBER_AT[kind], literal)
+    at = text.index(literal)
+    line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    err = _refused_input(tmp_path, capsys, argv, text)
+    assert re.fullmatch(rf"malformed JSON: .+ \(line {line}, column {column}\)\n", err), err
+
+
+@pytest.mark.parametrize(
+    "kind, path",
+    [("spectrum", []), ("tree", ["levels", 1, "v", 0]), ("bank", ["name"])],
+    ids=["spectrum", "tree-v", "bank-name"],
+)
+def test_deeply_nested_input_is_refused(tmp_path, capsys, rng, kind, path):
+    doc, argv = _input_document(tmp_path, rng, kind)
+    nesting = "[" * 100_000 + "]" * 100_000
+    err = _refused_input(tmp_path, capsys, argv, _spelled_at(doc, path, nesting))
+    # an orjson that limits nesting refuses the parse itself
+    assert err == "validation error: document nested too deeply\n" or err.startswith(
+        "malformed JSON: "
+    )
+
+
+# orjson reads an integer above 2**64 as a float; the range checks refuse it
+@pytest.mark.parametrize("value", [2**64, 10**300], ids=["2^64", "10^300"])
+@pytest.mark.parametrize(
+    "kind, path, message",
+    [
+        ("spectrum", ["cutoff"], "validation error: spectral cutoff "),
+        ("tree", ["levels", 1, "j"], "error: coefficient tree has no position (high, j="),
+        ("tree", ["levels", 1, "n"], "error: coefficient tree has no position (high, j=0, n="),
+    ],
+    ids=["cutoff", "j", "n"],
+)
+def test_integer_field_beyond_its_range_is_refused(
+    tmp_path, capsys, rng, kind, path, message, value
+):
+    doc, argv = _input_document(tmp_path, rng, kind)
+    err = _refused_input(tmp_path, capsys, argv, _spelled_at(doc, path, str(value)))
+    assert err.startswith(message), err
 
 
 def test_transform_refuses_a_wrong_coefficient_count(tmp_path, capsys):
@@ -275,54 +355,27 @@ def test_transform_refuses_a_wrong_coefficient_count(tmp_path, capsys):
 
 
 def test_transform_reconstruct_rejects_duplicate_entries(tmp_path, capsys, rng):
-    f_path = tmp_path / "f.json"
-    _write_spectral(f_path, degree_cutoff(2), rng)
-    tree_path = tmp_path / "tree.json"
-    cli.main(
-        ["transform", "--decompose", "-j", "2", "--input", str(f_path),
-         "--out", str(tree_path)]
-    )
-    doc = json.loads(tree_path.read_text())
+    doc, argv = _input_document(tmp_path, rng, "tree")
     doc["levels"].append(doc["levels"][1])
-    tree_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "c.json"
-    code = cli.main(
-        ["transform", "--reconstruct", "-j", "2", "--input", str(tree_path),
-         "--out", str(out)]
-    )
-    assert code == 2
-    assert "duplicate" in capsys.readouterr().err
-    assert not out.exists()
+    err = _refused_input(tmp_path, capsys, argv, json.dumps(doc))
+    assert err == "error: coefficient tree has a duplicate entry (high, j=0, n=1)\n"
 
 
 @pytest.mark.parametrize("rule_ref", ["5", "kronecker_lattice/x"])
 def test_transform_reconstruct_refuses_a_malformed_rule_ref(tmp_path, capsys, rng, rule_ref):
-    f_path = tmp_path / "f.json"
-    _write_spectral(f_path, degree_cutoff(2), rng)
-    tree_path = tmp_path / "tree.json"
-    cli.main(
-        ["transform", "--decompose", "-j", "2", "--input", str(f_path),
-         "--out", str(tree_path)]
-    )
-    doc = json.loads(tree_path.read_text())
+    doc, argv = _input_document(tmp_path, rng, "tree")
     doc["levels"][1]["rule_ref"] = rule_ref
-    tree_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "c.json"
-    code = cli.main(
-        ["transform", "--reconstruct", "-j", "2", "--input", str(tree_path),
-         "--out", str(out)]
+    err = _refused_input(tmp_path, capsys, argv, json.dumps(doc))
+    assert err == (
+        f"error: high-pass entry at j=0 is on rule 'kronecker_lattice/1', not '{rule_ref}'\n"
     )
-    assert code == 2
-    assert capsys.readouterr().err == (
-        f"validation error at /levels/1/rule_ref: '{rule_ref}' does not match '/[0-9]+$'\n"
-    )
-    assert not out.exists()
 
 
 def _entry_at(doc: dict, channel: str, j: int) -> dict:
     return next(e for e in doc["levels"] if e["channel"] == channel and e["j"] == j)
+
+
+_POSITIONS = "its positions are (low, j=0) and (high, j, n) for j < 2 and 1 <= n <= 2"
 
 
 @pytest.mark.parametrize(
@@ -335,35 +388,29 @@ def _entry_at(doc: dict, channel: str, j: int) -> dict:
          "error: high-pass entry at j=0 is on rule 'kronecker_lattice/1', "
          "not 'kronecker_lattice/2'"),
         (lambda doc: _entry_at(doc, "low", 0).update(j=2),
-         "error: low-pass entry at j=2, not j=0"),
+         f"error: coefficient tree has no position (low, j=2); {_POSITIONS}"),
         (lambda doc: _entry_at(doc, "low", 0).update(n=1),
-         "error: low-pass entry carries a channel, n=1"),
+         f"error: coefficient tree has no position (low, j=0, n=1); {_POSITIONS}"),
         (lambda doc: doc.update(r=1), "error: tree has r=1, the bank has 2 high-pass masks"),
+        (lambda doc: _entry_at(doc, "high", 1).update(j=2),
+         f"error: coefficient tree has no position (high, j=2, n=1); {_POSITIONS}"),
+        (lambda doc: _entry_at(doc, "high", 1).update(n=3),
+         f"error: coefficient tree has no position (high, j=1, n=3); {_POSITIONS}"),
+        (lambda doc: _entry_at(doc, "high", 1).pop("n"),
+         f"error: coefficient tree has no position (high, j=1); {_POSITIONS}"),
+        (lambda doc: doc["levels"].remove(_entry_at(doc, "high", 1)),
+         "error: coefficient tree is missing entries (high, j=1, n=1)"),
     ],
-    ids=["foreign-kind", "wrong-level", "low-pass-j", "low-pass-n", "wrong-r"],
+    ids=["foreign-kind", "wrong-level", "low-pass-j", "low-pass-n", "wrong-r",
+         "high-pass-j", "high-pass-n", "high-pass-no-n", "missing"],
 )
 def test_transform_reconstruct_refuses_an_entry_off_its_position(
     tmp_path, capsys, rng, edit, message
 ):
-    f_path = tmp_path / "f.json"
-    _write_spectral(f_path, degree_cutoff(2), rng)
-    tree_path = tmp_path / "tree.json"
-    cli.main(
-        ["transform", "--decompose", "-j", "2", "--input", str(f_path),
-         "--out", str(tree_path)]
-    )
-    doc = json.loads(tree_path.read_text())
+    doc, argv = _input_document(tmp_path, rng, "tree")
     edit(doc)
-    tree_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "c.json"
-    code = cli.main(
-        ["transform", "--reconstruct", "-j", "2", "--input", str(tree_path),
-         "--out", str(out)]
-    )
-    assert code == 2
-    assert capsys.readouterr().err == f"{message}\n"
-    assert not out.exists()
+    err = _refused_input(tmp_path, capsys, argv, json.dumps(doc))
+    assert err == f"{message}\n"
 
 
 def test_transform_bit_repro_is_deterministic(tmp_path, rng):
@@ -763,23 +810,6 @@ def test_non_finite_option_is_refused(tmp_path, capsys, argv, message):
 )
 def test_option_refusal_message(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
-    _refused(tmp_path, capsys, argv, message)
-
-
-@pytest.mark.parametrize(
-    "coeffs, message",
-    [
-        ("[[NaN, 0], [1, 0], [0, 0]]", "validation error: non-finite number NaN in input"),
-        ("[[1, 0], [-Infinity, 0], [0, 0]]",
-         "validation error: non-finite number -Infinity in input"),
-        ("[[1%s, 0], [0, 0], [0, 0]]" % ("0" * 400),
-         "validation error: non-finite number in input: an integer of 401 digits"),
-    ],
-)
-def test_non_finite_input_refusal_message(tmp_path, capsys, coeffs, message):
-    doc = tmp_path / "doc.json"
-    doc.write_text('{"cutoff": 1, "coeffs": %s}' % coeffs)
-    argv = ["transform", "--roundtrip", "-j", "2", "--input", str(doc)]
     _refused(tmp_path, capsys, argv, message)
 
 
@@ -1251,3 +1281,19 @@ def test_write_json_parses_to_indented_document(tmp_path):
     # repr tells -0.0 from 0.0 and compares floats digit by digit
     assert repr(json.loads(text)) == repr(json.loads(json.dumps(doc, indent=1)))
     assert repr(json.loads(text)) == repr(doc)
+
+
+def test_written_numbers_read_back_bit_for_bit(tmp_path):
+    # the 200 neighbours on each side of 1e-4 and 1e16, where the writer
+    # switches spelling, then subnormals, zero and the largest double
+    around = np.array([1e-4, 1e16]).view(np.int64)[:, None] + np.arange(-200, 201)
+    edges = [5e-324, 2.5e-320, np.nextafter(2.2250738585072014e-308, 0.0), 0.0,
+             1.7976931348623157e308]
+    values = np.concatenate([around.ravel().view(np.float64), edges])
+    values = np.concatenate([values, -values])
+    out = tmp_path / "numbers.json"
+    cli._write_json(out, {"v": values, "pairs": values.reshape(-1, 2)})
+    doc = cli._load_json(str(out))
+    for got in (np.array(doc["v"]), np.array(doc["pairs"]).ravel()):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), values.view(np.int64))

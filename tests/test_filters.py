@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -224,9 +223,8 @@ def _refused_bank(tmp_path, capsys, text: str) -> str:
         (["highs", 1], 7, "at /highs/1: 7 is not of type 'object'"),
         (["scaling_highs", 0, "pieces", 0, "lo"], "0",
          "at /scaling_highs/0/pieces/0/lo: '0' is not of type 'number'"),
-        # refused as it is parsed, before any field is known; its digits are not echoed
-        (["scaling_low", "pieces", 1, "scale"], 10**400,
-         ": non-finite number in input: an integer of 401 digits"),
+        # JSON's true is no number, though Python's bool is an int
+        (["low", "pieces", 0, "hi"], True, "at /low/pieces/0/hi: True is not of type 'number'"),
         # a symbol is its pieces, so it has at least one
         (["scaling_highs", 1, "pieces"], [], "at /scaling_highs/1/pieces: [] should be non-empty"),
         (["low", "pieces", 0, "kind"], "tan_nu",
@@ -249,25 +247,12 @@ def test_malformed_bank_document_names_the_field(
     else:
         parent[path[-1]] = value
     err = _refused_bank(tmp_path, capsys, json.dumps(doc))
-    # a message that names no field follows "validation error" directly
-    sep = "" if message.startswith(":") else " "
-    assert err == f"validation error{sep}{message}\n"
+    assert err == f"validation error {message}\n"
 
 
 def test_bank_document_must_be_an_object(tmp_path, capsys):
     err = _refused_bank(tmp_path, capsys, "[1, 2]")
     assert err == "validation error: [1, 2] is not of type 'object'\n"
-
-
-def test_bank_number_beyond_float_range_is_refused(tmp_path, capsys, bank):
-    # json.load reads 1e400 as inf
-    text = json.dumps(bank_to_dict(bank))
-    text = text.replace('"hi": 0.125', '"hi": 1e400', 1)
-    err = _refused_bank(tmp_path, capsys, text)
-    assert err == (
-        "validation error at /low/pieces/0/hi: inf is greater than the maximum "
-        f"of {sys.float_info.max!r}\n"
-    )
 
 
 def test_bank_document_ignores_unknown_keys(tmp_path, bank):
