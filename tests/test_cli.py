@@ -241,6 +241,37 @@ def test_transform_schema_violation(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+_401_DIGITS = "[[1%s, 0], [0, 0], [0, 0]]" % ("0" * 400)
+
+
+# the case ids keep the names they had before the strict parser refused these
+# numbers, when the messages were the ids' tails
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        pytest.param("[[NaN, 0], [1, 0], [0, Infinity]]", "unexpected character",
+                     id="[[NaN, 0], [1, 0], [0, Infinity]]-validation error"),
+        pytest.param("[[1, 0], [-Infinity, 0], [0, 0]]", "no digit after minus sign",
+                     id="[[1, 0], [-Infinity, 0], [0, 0]]-validation error"),
+        pytest.param("[[1e400, 0], [0, 0], [0, 0]]", "number is infinity when parsed as double",
+                     id="[[1e400, 0], [0, 0], [0, 0]]-non-finite"),
+        pytest.param(_401_DIGITS, "number is infinity when parsed as double",
+                     id=f"{_401_DIGITS}-non-finite"),
+    ],
+)
+def test_transform_rejects_non_finite_numbers(tmp_path, capsys, coeffs, message):
+    f_path = tmp_path / "f.json"
+    f_path.write_text('{"cutoff": 1, "coeffs": %s}' % coeffs)
+    out = tmp_path / "t.json"
+    code = cli.main(
+        ["transform", "--roundtrip", "-j", "2", "--input", str(f_path),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert f"malformed JSON: {message} (line 1, column " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _input_document(tmp_path, rng, kind: str):
     """A valid input document of kind, the J=2 tree of a random spectrum for
     "tree", and the command reading it, without the path of the input."""
@@ -810,6 +841,30 @@ def test_non_finite_option_is_refused(tmp_path, capsys, argv, message):
 )
 def test_option_refusal_message(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
+    _refused(tmp_path, capsys, argv, message)
+
+
+# ids kept as for test_transform_rejects_non_finite_numbers
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        pytest.param("[[NaN, 0], [1, 0], [0, 0]]",
+                     "malformed JSON: unexpected character (line 1, column 27)",
+                     id="[[NaN, 0], [1, 0], [0, 0]]-validation error: non-finite number NaN in input"),
+        pytest.param("[[1, 0], [-Infinity, 0], [0, 0]]",
+                     "malformed JSON: no digit after minus sign (line 1, column 35)",
+                     id="[[1, 0], [-Infinity, 0], [0, 0]]-validation error: "
+                        "non-finite number -Infinity in input"),
+        pytest.param(_401_DIGITS,
+                     "malformed JSON: number is infinity when parsed as double (line 1, column 27)",
+                     id=f"{_401_DIGITS}-validation error: "
+                        "non-finite number in input: an integer of 401 digits"),
+    ],
+)
+def test_non_finite_input_refusal_message(tmp_path, capsys, coeffs, message):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"cutoff": 1, "coeffs": %s}' % coeffs)
+    argv = ["transform", "--roundtrip", "-j", "2", "--input", str(doc)]
     _refused(tmp_path, capsys, argv, message)
 
 

@@ -255,6 +255,17 @@ def test_bank_document_must_be_an_object(tmp_path, capsys):
     assert err == "validation error: [1, 2] is not of type 'object'\n"
 
 
+def test_bank_number_beyond_float_range_is_refused(tmp_path, capsys, bank):
+    # the strict parser refuses a number that overflows a double, at its place
+    text = json.dumps(bank_to_dict(bank))
+    text = text.replace('"hi": 0.125', '"hi": 1e400', 1)
+    column = text.index("1e400") + 1
+    err = _refused_bank(tmp_path, capsys, text)
+    assert err == (
+        f"malformed JSON: number is infinity when parsed as double (line 1, column {column})\n"
+    )
+
+
 def test_bank_document_ignores_unknown_keys(tmp_path, bank):
     doc = bank_to_dict(bank)
     doc["comment"] = "unknown keys are ignored"
