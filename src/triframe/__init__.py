@@ -26,7 +26,6 @@ from .basis import (
 from .filters import (
     FilterBank,
     SpectralSymbol,
-    check_limit_lowpass,
     check_partition,
     check_refinement,
     default_bank,
@@ -39,7 +38,6 @@ from .quadrature import (
     gauss_reference_rule,
     generalized_tightness_residual,
     gram_matrix,
-    integrate,
     kronecker_lattice,
     lattice_size,
 )
@@ -54,7 +52,6 @@ from .transform import (
     decompose,
     dft,
     downsample,
-    framelet_eval,
     framelet_values,
     kronecker_system,
     multilevel_decompose,

@@ -84,12 +84,6 @@ def max_degree_within(bound: float) -> int:
     return ell
 
 
-def in_simplex(x, tol: float = SIMPLEX_TOL) -> bool:
-    """Membership in the closed triangle, up to tolerance."""
-    x1, x2 = float(x[0]), float(x[1])
-    return x1 >= -tol and x2 >= -tol and x1 + x2 <= 1.0 + tol
-
-
 def _jacobi_next(n: int, tau: float, gamma: float, t, p1, p0):
     """One forward step of the Jacobi three-term recurrence (degree n >= 2)."""
     c = 2.0 * n + tau + gamma
@@ -354,10 +348,10 @@ def laplace_beltrami_apply(f: Callable, x, h: float) -> float:
     if h <= 0:
         raise DomainError("step must be positive")
     ((x1, x2),) = _checked_points(x).tolist()
-    offsets = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
-    for i, k in offsets:
-        if not in_simplex((x1 + i * h, x2 + k * h), tol=0.0):
-            raise DomainError("finite-difference stencil leaves the simplex")
+    stencil = (x1, x2) + h * np.array([(i, k) for i in (-1, 0, 1) for k in (-1, 0, 1)])
+    # written as "not inside", so a NaN step is refused too
+    if not ((stencil >= 0.0).all() and (stencil.sum(axis=1) <= 1.0).all()):
+        raise DomainError("finite-difference stencil leaves the simplex")
 
     def fv(i, k):
         return float(f((x1 + i * h, x2 + k * h)))
@@ -391,26 +385,6 @@ class SpectralVector:
                 f"expected {tri_dim(self.cutoff)} coefficients for cutoff "
                 f"{self.cutoff}, got {self.coeffs.shape}"
             )
-
-    @classmethod
-    def zeros(cls, cutoff: int) -> "SpectralVector":
-        return cls(cutoff, np.zeros(tri_dim(cutoff), dtype=complex))
-
-    @classmethod
-    def from_entries(cls, cutoff: int, entries: dict) -> "SpectralVector":
-        """Build from a sparse {(ell, m): value} mapping; absent entries are 0."""
-        vec = cls.zeros(cutoff)
-        for (ell, m), value in entries.items():
-            if ell > cutoff:
-                raise ValueError(f"entry ({ell}, {m}) exceeds cutoff {cutoff}")
-            vec.coeffs[linear_index(ell, m)] = value
-        return vec
-
-    def __getitem__(self, idx) -> complex:
-        ell, m = idx
-        if ell > self.cutoff:
-            return 0j
-        return complex(self.coeffs[linear_index(ell, m)])
 
     def resized(self, cutoff: int) -> "SpectralVector":
         """Copy truncated or zero-padded to a new cutoff."""

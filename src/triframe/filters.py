@@ -189,16 +189,6 @@ def check_refinement(bank: FilterBank, grid) -> float:
     return float(residual)
 
 
-def check_limit_lowpass(bank: FilterBank, ell: int, j_max: int) -> float:
-    """|low(eigenvalue(ell) / 2**j_max) - 1|; exactly 0 once the argument
-    lands in the flat unit branch of the low-pass mask."""
-    from .basis import eigenvalue
-
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    return float(abs(bank.low(eigenvalue(ell) / 2.0**j_max) - 1.0))
-
-
 def _symbol_to_dict(symbol: SpectralSymbol) -> dict:
     return {"pieces": [asdict(p) for p in symbol.pieces]}
 

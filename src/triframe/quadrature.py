@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -245,18 +244,6 @@ def gauss_reference_rule(degree: int) -> QuadratureRule:
     w = np.repeat(wu, npts) * np.tile(wv, npts)
     w /= w.sum()
     return QuadratureRule(nodes=np.stack((x1, x2), axis=1), weights=w, kind=KIND_GAUSS)
-
-
-def integrate(rule: QuadratureRule, f: Callable) -> complex:
-    """Weighted node sum of a scalar field.
-
-    f maps the (N, 2) array of nodes to their N values; wrap a function of
-    one point as lambda pts: np.array([f(p) for p in pts]).
-    """
-    values = np.asarray(f(rule.nodes))
-    if values.shape != (rule.size,):
-        raise ValueError(f"f returned shape {values.shape}, expected ({rule.size},)")
-    return complex(np.sum(rule.weights * values))
 
 
 def exactness_degree(rule: QuadratureRule, tol: float, max_degree: int = 60) -> int:

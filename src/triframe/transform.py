@@ -376,21 +376,15 @@ def _framelet_coefficients(
     return _filtered_spectrum(SpectralVector(cut, row), symbol, j)
 
 
-def framelet_eval(
-    sys: FrameletSystem, kind: str, j: int, k: int, x, n: int = 1
-) -> float:
-    """Value at x of the level-j framelet translated at node k.
+def framelet_values(
+    sys: FrameletSystem, kind: str, j: int, k: int, points, n: int = 1
+) -> np.ndarray:
+    """Values at the points of the level-j framelet translated at node k,
+    summed without a basis table.
 
     kind "low" uses the level-j rule; kind "high" (channel n) uses the
     level-(j+1) rule.  Real-valued for the shipped bank.
     """
-    return float(framelet_values(sys, kind, j, k, np.reshape(x, (1, 2)), n=n)[0])
-
-
-def framelet_values(
-    sys: FrameletSystem, kind: str, j: int, k: int, points, n: int = 1
-) -> np.ndarray:
-    """framelet_eval over many points, summed without a basis table."""
     coeffs = _framelet_coefficients(sys, kind, j, k, n)
     # the basis is real, so the real part of the sum needs only the real
     # parts of the coefficients
@@ -527,7 +521,18 @@ def tree_from_dict(doc: dict, sys: FrameletSystem) -> FrameletTree:
             )
         if slots[key] is not None:
             raise ValueError(f"coefficient tree has a duplicate entry {_position(*key)}")
-        slots[key] = sequence_from_dict(entry, sys)
+        seq = slots[key] = sequence_from_dict(entry, sys)
+        # the cutoff reconstruct keeps: upsample's for the low-pass entry,
+        # convolve's for a high-pass one
+        n = key[2]
+        reads = max_degree_within(
+            2.0**seq.level * sys.bank.highs[n - 1].support[1] if n else 2.0 ** (seq.level - 1)
+        )
+        if seq.spectral.cutoff > reads:
+            raise ValueError(
+                f"coefficient tree entry {_position(*key)} carries cutoff "
+                f"{seq.spectral.cutoff}; reconstruction reads at most cutoff {reads} there"
+            )
     missing = [_position(*key) for key, seq in slots.items() if seq is None]
     if missing:
         raise ValueError(f"coefficient tree is missing entries {', '.join(missing)}")

@@ -14,7 +14,6 @@ from triframe.basis import (
     degree_cutoff,
     eigenvalue,
     expansion_values,
-    in_simplex,
     jacobi_eval,
     laplace_beltrami_apply,
     lambda_vector,
@@ -393,8 +392,12 @@ def test_eigenfunction_property():
 
 
 def test_laplace_beltrami_stencil_domain_error():
-    with pytest.raises(DomainError):
-        laplace_beltrami_apply(lambda p: 1.0, (1e-5, 0.4), 1e-3)
+    # past the x1 = 0 edge, the x2 = 0 edge and the hypotenuse; 1e-13 past an
+    # edge, as the stencil has tolerance 0; a NaN step
+    for x, h in [((1e-5, 0.4), 1e-3), ((0.4, 1e-5), 1e-3), ((0.5, 0.4995), 1e-3),
+                 ((1e-3, 0.4), 1e-3 + 1e-13), ((0.3, 0.3), np.nan)]:
+        with pytest.raises(DomainError, match="^finite-difference stencil leaves the simplex$"):
+            laplace_beltrami_apply(lambda p: 1.0, x, h)
 
 
 @pytest.mark.parametrize("ell,m", [(2, 1), (4, 0), (5, 3), (8, 8)])
@@ -414,33 +417,28 @@ def test_degree_consistency_on_lines(ell, m):
     assert abs(poly(t_extra) - want) / scale < 1e-7
 
 
-def test_in_simplex_tolerance():
-    assert in_simplex((0.0, 0.0))
-    assert in_simplex((-1e-13, 0.5))
-    assert not in_simplex((-1e-11, 0.5))
-    assert not in_simplex((0.6, 0.6))
-
-
 def test_spectral_vector_dense_storage():
-    vec = SpectralVector.zeros(4)
+    vec = SpectralVector(4, np.zeros(tri_dim(4)))
     assert vec.coeffs.shape == (tri_dim(4),)
     assert tri_dim(4) == 5 * 6 // 2
-    vec = SpectralVector.from_entries(3, {(2, 1): 1.5 + 2j})
-    assert vec[(2, 1)] == 1.5 + 2j
-    assert vec[(3, 0)] == 0j
-    assert vec[(9, 0)] == 0j  # beyond cutoff reads as zero
-    with pytest.raises(ValueError):
-        SpectralVector.from_entries(2, {(3, 0): 1.0})
+    coeffs = np.zeros(tri_dim(3), dtype=complex)
+    coeffs[linear_index(2, 1)] = 1.5 + 2j
+    vec = SpectralVector(3, coeffs)
+    assert vec.coeffs[linear_index(2, 1)] == 1.5 + 2j
+    assert vec.coeffs[linear_index(3, 0)] == 0j
     with pytest.raises(ValueError):
         SpectralVector(3, np.zeros(7, dtype=complex))
 
 
 def test_spectral_vector_resized():
-    vec = SpectralVector.from_entries(2, {(0, 0): 1.0, (2, 2): 3.0})
-    up = vec.resized(4)
-    assert up.cutoff == 4 and up[(2, 2)] == 3.0 and up[(4, 1)] == 0j
+    coeffs = np.zeros(tri_dim(2))
+    coeffs[linear_index(0, 0)] = 1.0
+    coeffs[linear_index(2, 2)] = 3.0
+    up = SpectralVector(2, coeffs).resized(4)
+    assert up.cutoff == 4
+    assert up.coeffs[linear_index(2, 2)] == 3.0 and up.coeffs[linear_index(4, 1)] == 0j
     down = up.resized(1)
-    assert down.cutoff == 1 and down[(0, 0)] == 1.0
+    assert down.cutoff == 1 and down.coeffs[linear_index(0, 0)] == 1.0
 
 
 def test_lambda_vector_layout():

@@ -272,19 +272,19 @@ def test_transform_rejects_non_finite_numbers(tmp_path, capsys, coeffs, message)
     assert not out.exists()
 
 
-def _input_document(tmp_path, rng, kind: str):
-    """A valid input document of kind, the J=2 tree of a random spectrum for
-    "tree", and the command reading it, without the path of the input."""
+def _input_document(tmp_path, rng, kind: str, level: int = 2):
+    """A valid input document of kind, the J=level tree of a random spectrum
+    for "tree", and the command reading it, without the path of the input."""
     if kind == "spectrum":
         return {"cutoff": 1, "coeffs": [[0.5, 0.0], [1.0, 0.0], [0.0, 0.0]]}, [
             "transform", "--roundtrip", "-j", "2", "--input"]
     if kind == "tree":
         f_path, tree_path = tmp_path / "f.json", tmp_path / "tree.json"
-        _write_spectral(f_path, degree_cutoff(2), rng)
-        argv = ["transform", "--decompose", "-j", "2", "--input", str(f_path)]
+        _write_spectral(f_path, degree_cutoff(level), rng)
+        argv = ["transform", "--decompose", "-j", str(level), "--input", str(f_path)]
         assert cli.main([*argv, "--out", str(tree_path)]) == 0
         return json.loads(tree_path.read_text()), [
-            "transform", "--reconstruct", "-j", "2", "--input"]
+            "transform", "--reconstruct", "-j", str(level), "--input"]
     return bank_to_dict(default_bank()), ["sample", "--kind", "masks", "--grid", "8", "--bank"]
 
 
@@ -442,6 +442,36 @@ def test_transform_reconstruct_refuses_an_entry_off_its_position(
     edit(doc)
     err = _refused_input(tmp_path, capsys, argv, json.dumps(doc))
     assert err == f"{message}\n"
+
+
+@pytest.mark.parametrize(
+    "channel, cutoff, position",
+    [("low", 3, "(low, j=0)"), ("high", 2, "(high, j=0, n=1)")],
+    ids=["low-pass", "high-pass"],
+)
+def test_transform_reconstruct_refuses_a_spectrum_past_what_it_reads(
+    tmp_path, capsys, rng, channel, cutoff, position
+):
+    # reconstruction reads cutoff 0 of (low, j=0), which upsample truncates,
+    # and of (high, j=0, n=1), which convolve truncates at level 1
+    doc, argv = _input_document(tmp_path, rng, "tree", level=3)
+    spectral = _entry_at(doc, channel, 0)["spectral"]
+    spectral["coeffs"] += rng.standard_normal(
+        (tri_dim(cutoff) - len(spectral["coeffs"]), 2)
+    ).tolist()
+    spectral["cutoff"] = cutoff
+    err = _refused_input(tmp_path, capsys, argv, json.dumps(doc))
+    assert err == (
+        f"error: coefficient tree entry {position} carries cutoff {cutoff}; "
+        "reconstruction reads at most cutoff 0 there\n"
+    )
+
+
+def test_transform_reconstruct_refuses_a_tree_above_its_level(tmp_path, capsys, rng):
+    doc, _ = _input_document(tmp_path, rng, "tree", level=3)
+    argv = ["transform", "--reconstruct", "-j", "2", "--input"]
+    err = _refused_input(tmp_path, capsys, argv, json.dumps(doc))
+    assert err == "error: tree top level 3 exceeds system level 2\n"
 
 
 def test_transform_bit_repro_is_deterministic(tmp_path, rng):
@@ -837,11 +867,22 @@ def test_non_finite_option_is_refused(tmp_path, capsys, argv, message):
          "validation error: sampling a high-pass at the top level exceeds the level guard"),
         (["sample", "--kind", "masks", "--grid", "8", "--bank", "nope"],
          "validation error: unknown bank 'nope' (not the shipped name or a file)"),
+        (["transform", "--decompose", "-j", "0", "--input", "{input}"],
+         "error: multilevel decomposition needs a level >= 1 input"),
+        (["transform", "--roundtrip", "-j", "0", "--input", "{input}"],
+         "error: multilevel decomposition needs a level >= 1 input"),
     ],
 )
 def test_option_refusal_message(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     _refused(tmp_path, capsys, argv, message)
+
+
+def test_reference_diagnostics_past_the_rule_cap_is_refused(tmp_path, capsys, monkeypatch):
+    # a budget that admits J=8, so the refusal is the reference rule's own
+    monkeypatch.setattr(cli, "table_budget_bytes", lambda: 4_210_000_000)
+    argv = ["diagnostics", "--rules", "reference", "-j", "8"]
+    _refused(tmp_path, capsys, argv, "error: reference rule capped at degree 128")
 
 
 # ids kept as for test_transform_rejects_non_finite_numbers

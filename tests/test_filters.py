@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from triframe import cli
+from triframe.basis import eigenvalue
 from triframe.filters import (
     FilterBank,
     Piece,
     SpectralSymbol,
     bank_from_dict,
     bank_to_dict,
-    check_limit_lowpass,
     check_partition,
     check_refinement,
     nu,
@@ -95,11 +95,12 @@ def test_refinement_fails_for_indicator_scaling(bank):
 
 
 def test_limit_lowpass(bank):
-    assert check_limit_lowpass(bank, 0, 3) == 0.0
+    # |low(eigenvalue(ell) / 2**j) - 1| is exactly 0 in the flat unit branch
+    assert abs(bank.low(eigenvalue(0) / 2**3) - 1.0) == 0.0
     # sqrt(8)/64 < 1/8 lands in the flat branch
-    assert check_limit_lowpass(bank, 2, 6) == 0.0
+    assert abs(bank.low(eigenvalue(2) / 2**6) - 1.0) == 0.0
     # sqrt(8)/16 sits in the transition branch
-    assert check_limit_lowpass(bank, 2, 4) > 0.0
+    assert abs(bank.low(eigenvalue(2) / 2**4) - 1.0) > 0.0
 
 
 def test_support_declarations(bank):

@@ -28,7 +28,6 @@ from triframe.quadrature import (
     gauss_reference_rule,
     generalized_tightness_residual,
     gram_matrix,
-    integrate,
     kronecker_lattice,
     lattice_size,
     rule_from_dict,
@@ -104,13 +103,13 @@ def test_lattice_fold_always_lands_in_triangle(g1, g2, s1, s2):
 
 def test_gauss_reference_normalization():
     rule = gauss_reference_rule(0)
-    assert integrate(rule, lambda pts: np.ones(len(pts))) == pytest.approx(1.0, abs=1e-15)
+    assert np.sum(rule.weights * np.ones(rule.size)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gauss_reference_centroid_integral():
     # normalized measure gives integral of x1 equal to 1/3 (symbolic oracle)
     rule = gauss_reference_rule(2)
-    val = integrate(rule, lambda pts: pts[:, 0])
+    val = np.sum(rule.weights * rule.nodes[:, 0])
     assert val.real == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert val.imag == 0.0
 
@@ -155,25 +154,12 @@ def test_gauss_reference_integrates_monomials(degree):
 
 def test_integrate_zero_mean_member():
     rule = gauss_reference_rule(2)
-    assert abs(integrate(rule, _p10)) < 1e-14
-
-
-@pytest.mark.parametrize(
-    "f, shape",
-    [(lambda pts: 3.0, "()"), (lambda pts: np.ones((len(pts), 1)), "(9, 1)")],
-    ids=["scalar", "column"],
-)
-def test_integrate_refuses_values_not_one_per_node(f, shape):
-    # f is called once, on all nodes; no per-point retry broadcasts (N, 1) to (N, N)
-    rule = gauss_reference_rule(4)
-    with pytest.raises(ValueError) as exc:
-        integrate(rule, f)
-    assert str(exc.value) == f"f returned shape {shape}, expected (9,)"
+    assert abs(np.sum(rule.weights * _p10(rule.nodes))) < 1e-14
 
 
 def test_integrate_kronecker_low_discrepancy_regression():
     rule = kronecker_lattice(5)
-    val = integrate(rule, _p10)
+    val = np.sum(rule.weights * _p10(rule.nodes))
     assert abs(val) <= 0.05
     assert val.real == pytest.approx(KRON5_P10_INTEGRAL, abs=1e-12)
 
@@ -183,6 +169,11 @@ def test_exactness_degree_centroid():
         nodes=np.array([[1.0 / 3.0, 1.0 / 3.0]]), weights=np.array([1.0])
     )
     assert exactness_degree(rule, 1e-12) == 1
+
+
+def test_exactness_degree_stops_at_its_cap():
+    # exact to degree 20, so every cutoff the search tests passes
+    assert exactness_degree(gauss_reference_rule(20), 1e-12, max_degree=10) == 10
 
 
 def test_exactness_degree_kronecker():
@@ -201,7 +192,7 @@ def test_negative_weight_rule():
         rule.weighted_basis(2)
     # point values are sqrt(w)-scaled, so the rule has none
     with pytest.raises(DomainError, match="positive weights"):
-        dft(SpectralVector.zeros(1), 2, rule)
+        dft(SpectralVector(1, np.zeros(tri_dim(1))), 2, rule)
 
 
 def _negative_weight_rule():

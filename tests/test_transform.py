@@ -38,7 +38,6 @@ from triframe.transform import (
     decompose,
     dft,
     downsample,
-    framelet_eval,
     framelet_values,
     kronecker_system,
     multilevel_decompose,
@@ -66,8 +65,8 @@ def sys_e4(bank):
     return reference_system(bank, 4)
 
 
-def _delta(cutoff=0):
-    return SpectralVector.from_entries(cutoff, {(0, 0): 1.0})
+def _delta():
+    return SpectralVector(0, np.ones(1))
 
 
 def test_sequence_values_match_displayed_sum(sys_k5, rng):
@@ -101,7 +100,7 @@ def test_framelet_level_zero_is_constant(sys_k5, rng):
     for k in (0, 1):
         for _ in range(3):
             x = rng.uniform(0, 0.5, 2)
-            val = framelet_eval(sys_k5, "low", 0, k, x)
+            val = framelet_values(sys_k5, "low", 0, k, [x])[0]
             assert val == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-13)
 
 
@@ -121,7 +120,7 @@ def test_framelet_matches_direct_sum_oracle(sys_k5, bank):
                     * basis_eval((ell, m), x)
                 )
         want /= math.sqrt(rule_lo.size)
-        assert_allclose(framelet_eval(sys_k5, "low", j, k, x), want, rtol=1e-10)
+        assert_allclose(framelet_values(sys_k5, "low", j, k, [x])[0], want, rtol=1e-10)
 
         want = 0.0
         cut = max_degree_within(2.0**j)
@@ -135,7 +134,7 @@ def test_framelet_matches_direct_sum_oracle(sys_k5, bank):
                 )
         want /= math.sqrt(rule_hi.size)
         assert_allclose(
-            framelet_eval(sys_k5, "high", j, k, x, n=n), want, rtol=1e-10, atol=1e-12
+            framelet_values(sys_k5, "high", j, k, [x], n=n)[0], want, rtol=1e-10, atol=1e-12
         )
 
 
@@ -157,7 +156,7 @@ def test_framelet_values_matches_pointwise(sys_k5):
     vals = framelet_values(sys_k5, "low", 2, 5, pts)
     for i in (0, 31, len(pts) - 1):
         assert_allclose(
-            vals[i], framelet_eval(sys_k5, "low", 2, 5, pts[i]), rtol=1e-12
+            vals[i], framelet_values(sys_k5, "low", 2, 5, [pts[i]])[0], rtol=1e-12
         )
 
 
@@ -183,19 +182,19 @@ def test_framelet_values_refuse_a_nan_point(sys_k5):
 def test_framelet_values_build_no_table(bank):
     sys_ = kronecker_system(bank, 5)
     framelet_values(sys_, "high", 4, 100, triangle_grid(64), n=1)
-    framelet_eval(sys_, "low", 3, 7, (0.2, 0.3))
+    framelet_values(sys_, "low", 3, 7, [(0.2, 0.3)])
     assert all(rule._factors.pair is None for rule in sys_.rules)
 
 
 def test_framelet_index_errors(sys_k5):
     with pytest.raises(IndexError):
-        framelet_eval(sys_k5, "low", 2, lattice_size(2), (0.2, 0.2))
+        framelet_values(sys_k5, "low", 2, lattice_size(2), [(0.2, 0.2)])
     with pytest.raises(IndexError):
-        framelet_eval(sys_k5, "high", 2, 0, (0.2, 0.2), n=3)
+        framelet_values(sys_k5, "high", 2, 0, [(0.2, 0.2)], n=3)
     with pytest.raises(IndexError):
-        framelet_eval(sys_k5, "high", 5, 0, (0.2, 0.2))  # needs rule 6
+        framelet_values(sys_k5, "high", 5, 0, [(0.2, 0.2)])  # needs rule 6
     with pytest.raises(ValueError):
-        framelet_eval(sys_k5, "band", 2, 0, (0.2, 0.2))
+        framelet_values(sys_k5, "band", 2, 0, [(0.2, 0.2)])
 
 
 def test_analyze_constant(sys_k5):
@@ -211,7 +210,9 @@ def test_analyze_constant(sys_k5):
 
 def test_analyze_outside_lowpass_support(sys_k5):
     # a pure degree-4 input at level 2 sits beyond the scaling support
-    f = SpectralVector.from_entries(4, {(4, 2): 1.0})
+    coeffs = np.zeros(tri_dim(4))
+    coeffs[linear_index(4, 2)] = 1.0
+    f = SpectralVector(4, coeffs)
     assert eigenvalue(4) / 2.0**2 > 0.5
     low = analyze_lowpass(sys_k5, f, 2)
     assert np.abs(low.spectral.coeffs).max() == 0.0
@@ -246,7 +247,7 @@ def test_convolve_identity_symbol(sys_k5, rng):
 def test_convolve_constant_under_lowpass(sys_k5, bank):
     v = CoefficientSequence(sys_k5.rule(2), _delta())
     out = convolve(v, bank.low)
-    assert out.spectral[(0, 0)] == 1.0 + 0j
+    assert out.spectral.coeffs[linear_index(0, 0)] == 1.0 + 0j
 
 
 def test_convolve_energy_partition(sys_k5, bank, rng):
@@ -269,14 +270,17 @@ def test_convolve_requires_spectral(sys_k5, bank):
 def test_downsample_truncates_and_resynthesizes(sys_k5):
     # component above the 2**(j-1) band edge disappears
     j = 3
-    wide = SpectralVector.from_entries(7, {(0, 0): 2.0, (7, 1): 1.0})
+    coeffs = np.zeros(tri_dim(7))
+    coeffs[linear_index(0, 0)] = 2.0
+    coeffs[linear_index(7, 1)] = 1.0
+    wide = SpectralVector(7, coeffs)
     assert eigenvalue(7) > 2.0 ** (j - 1)
     v = CoefficientSequence(sys_k5.rule(j), wide)
     out = downsample(sys_k5, v)
     assert out.level == j - 1
     assert out.spectral.cutoff <= degree_cutoff(j)
-    assert out.spectral[(0, 0)] == 2.0 + 0j
-    assert out.spectral[(7, 1)] == 0j
+    assert out.spectral.coeffs[linear_index(0, 0)] == 2.0 + 0j
+    assert out.spectral.resized(7).coeffs[linear_index(7, 1)] == 0j
     assert_allclose(
         out.values,
         2.0 / math.sqrt(lattice_size(j - 1)),
@@ -291,13 +295,15 @@ def test_downsample_level_zero_rejected(sys_k5):
 
 def test_upsample_truncates(sys_k5):
     j = 3  # upsampling to level 3 keeps eigenvalues <= 2
-    v = CoefficientSequence(
-        sys_k5.rule(j - 1), SpectralVector.from_entries(3, {(1, 0): 1.0, (3, 2): 1.0})
-    )
+    coeffs = np.zeros(tri_dim(3))
+    coeffs[[linear_index(1, 0), linear_index(3, 2)]] = 1.0
+    v = CoefficientSequence(sys_k5.rule(j - 1), SpectralVector(3, coeffs))
     out = upsample(sys_k5, v)
     assert out.level == j
-    assert out.spectral[(1, 0)] == 1.0 + 0j  # eigenvalue sqrt(3) <= 2
-    assert out.spectral[(3, 2)] == 0j  # eigenvalue sqrt(15) > 2
+    # read at the input's cutoff, so an entry upsample drops reads as 0
+    spectrum = out.spectral.resized(3).coeffs
+    assert spectrum[linear_index(1, 0)] == 1.0 + 0j  # eigenvalue sqrt(3) <= 2
+    assert spectrum[linear_index(3, 2)] == 0j  # eigenvalue sqrt(15) > 2
 
 
 def test_upsample_missing_rule(bank, rng):
@@ -322,7 +328,7 @@ def test_decompose_constant_chain(sys_k5):
     v1 = CoefficientSequence(sys_k5.rule(1), _delta())
     low, highs = decompose(sys_k5, v1)
     assert low.level == 0
-    assert low.spectral[(0, 0)] == 1.0 + 0j
+    assert low.spectral.coeffs[linear_index(0, 0)] == 1.0 + 0j
     for h in highs:
         assert np.abs(h.spectral.coeffs).max() == 0.0
 
@@ -365,7 +371,7 @@ def test_reconstruct_constant_chain(sys_k5):
     # level-0 constants with zero details rebuild the level-1 analysis
     v0 = analyze_lowpass(sys_k5, _delta(), 0)
     zeros = [
-        CoefficientSequence(sys_k5.rule(1), SpectralVector.zeros(0))
+        CoefficientSequence(sys_k5.rule(1), SpectralVector(0, np.zeros(1)))
         for _ in range(sys_k5.r)
     ]
     got = reconstruct(sys_k5, v0, zeros)
@@ -374,7 +380,7 @@ def test_reconstruct_constant_chain(sys_k5):
 
 
 def test_reconstruct_zero(sys_k5):
-    zero = SpectralVector.zeros(0)
+    zero = SpectralVector(0, np.zeros(1))
     low = CoefficientSequence(sys_k5.rule(0), zero)
     highs = [CoefficientSequence(sys_k5.rule(1), zero) for _ in range(sys_k5.r)]
     out = reconstruct(sys_k5, low, highs)
@@ -567,6 +573,36 @@ def test_tree_serialization_round_trip(sys_k5, rng):
     doc["levels"] = doc["levels"][:-1]
     with pytest.raises(ValueError):
         tree_from_dict(doc, sys_k5)
+
+
+def test_tree_entry_past_what_reconstruction_reads_is_refused(sys_k5, rng):
+    v = analyze_lowpass(sys_k5, random_spectral(degree_cutoff(4), rng), 4)
+    doc = json.loads(
+        json.dumps(tree_to_dict(multilevel_decompose(sys_k5, v)), default=np.ndarray.tolist)
+    )
+    tree_from_dict(doc, sys_k5)
+    for i, entry in enumerate(doc["levels"]):
+        # with the shipped bank, reconstruction reads each entry up to the
+        # cutoff of its rule's level, and decompose writes every entry there
+        reads = degree_cutoff(entry["j"] + (entry["channel"] == "high"))
+        assert entry["spectral"]["cutoff"] == reads
+        wide = {"cutoff": reads + 1, "coeffs": [[1.0, 0.0]] * tri_dim(reads + 1)}
+        levels = [*doc["levels"][:i], dict(entry, spectral=wide), *doc["levels"][i + 1 :]]
+        message = f"carries cutoff {reads + 1}; reconstruction reads at most cutoff {reads} there$"
+        with pytest.raises(ValueError, match=message):
+            tree_from_dict(dict(doc, levels=levels), sys_k5)
+
+
+def test_system_refuses_a_rule_off_its_level(bank):
+    with pytest.raises(ValueError, match="^rule at position 1 carries level 2$"):
+        FrameletSystem(bank, [kronecker_lattice(0), kronecker_lattice(2)])
+
+
+def test_parseval_report_refuses_levels_outside_the_system(sys_k5, rng):
+    f = random_spectral(degree_cutoff(4), rng)
+    for levels in (0, sys_k5.J + 1):
+        with pytest.raises(ValueError, match=r"^levels must lie in 1\.\.5$"):
+            parseval_report(sys_k5, f, levels)
 
 
 def test_complex_pairs_match_float_loop(rng):
@@ -877,14 +913,16 @@ def test_engine_values_at_level_8_nodes_match_scalar_oracle(rng):
     members += [
         (ell, int(rng.integers(ell + 1))) for ell in rng.integers(0, cut + 1, size=61)
     ]
-    u = SpectralVector.from_entries(
-        cut, {idx: complex(*rng.standard_normal(2)) for idx in members}
-    )
+    entries = {idx: complex(*rng.standard_normal(2)) for idx in members}
+    coeffs = np.zeros(tri_dim(cut), dtype=complex)
+    for idx, value in entries.items():
+        coeffs[linear_index(*idx)] = value
+    u = SpectralVector(cut, coeffs)
     values = dft(u, 8, rule)
     nodes = rng.choice(rule.size, size=16, replace=False)
     want = np.array([
         math.sqrt(rule.weights[k])
-        * sum(u[idx] * basis_eval(idx, rule.nodes[k]) for idx in set(members))
+        * sum(value * basis_eval(idx, rule.nodes[k]) for idx, value in entries.items())
         for k in nodes
     ])
     assert np.abs(values[nodes] - want).max() <= 1e-12 * np.abs(want).max()
