@@ -9,7 +9,6 @@ check command or a round trip.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import os
@@ -116,55 +115,90 @@ BANK_SCHEMA = {
     },
 }
 
-# orjson.loads yields exactly these types for a JSON number; bool is excluded,
-# as jsonschema's "number" excludes it
+# the JSON types the schemas name, as Draft 2020-12 reads them: a bool is no
+# number, and an integer may be spelled as a float (1.0)
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: _TYPES["number"](x) and (isinstance(x, int) or x.is_integer()),
+}
+# orjson.loads yields exactly these types for a JSON number; type(True) is bool
 _NUMERIC = (int, float)
 
 
-def _items(validator, items, instance, schema):
-    """``items`` with one typed pass over arrays of [re, im] pairs.
+def _faults(schema: dict, doc, path: tuple):
+    """A ValidationError for each fault of doc under schema, in Draft 2020-12
+    order (keywords in schema order, depth first) and in the wording of the
+    reference validator the tests compare against.  A keyword the schemas
+    above do not use raises where it applies."""
+    for keyword, value in schema.items():
+        message = None
+        if keyword == "type" and isinstance(value, str) and value in _TYPES:
+            if not _TYPES[value](doc):
+                message = f"{doc!r} is not of type {value!r}"
+        elif keyword == "enum":
+            if doc not in value:
+                message = f"{doc!r} is not one of {value!r}"
+        elif keyword == "minimum":
+            if _TYPES["number"](doc) and doc < value:
+                message = f"{doc!r} is less than the minimum of {value!r}"
+        elif keyword == "minItems":
+            if isinstance(doc, list) and len(doc) < value:
+                message = f"{doc!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif keyword == "maxItems":
+            if isinstance(doc, list) and len(doc) > value:
+                message = f"{doc!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif keyword == "required":
+            if isinstance(doc, dict):
+                for name in value:
+                    if name not in doc:
+                        yield ValidationError(f"{name!r} is a required property", path)
+        elif keyword == "additionalProperties" and value is False:
+            extras = isinstance(doc, dict) and sorted(
+                (name for name in doc if name not in schema.get("properties", {})), key=str
+            )
+            if extras:
+                message = (f"Additional properties are not allowed ({', '.join(map(repr, extras))}"
+                           f" {'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif keyword == "properties":
+            if isinstance(doc, dict):
+                for name, sub in value.items():
+                    if name in doc:
+                        yield from _faults(sub, doc[name], (*path, name))
+        elif keyword == "items" and isinstance(value, dict):
+            pairs = value is _PAIR  # one typed pass; only a refused pair is walked
+            for i, item in enumerate(doc if isinstance(doc, list) else ()):
+                if not (pairs and type(item) is list and len(item) == 2
+                        and type(item[0]) in _NUMERIC and type(item[1]) in _NUMERIC):
+                    yield from _faults(value, item, (*path, i))
+        else:
+            raise NotImplementedError(f"schema keyword {keyword!r}: {value!r}")
+        if message is not None:
+            yield ValidationError(message, path)
 
-    Only an element the pass cannot accept is handed to jsonschema, so errors
-    (message and path) are jsonschema's own.
-    """
-    if items is not _PAIR:
-        import jsonschema
 
-        yield from jsonschema.Draft202012Validator.VALIDATORS["items"](
-            validator, items, instance, schema
-        )
-        return
-    if not validator.is_type(instance, "array"):
-        return
-    for i, p in enumerate(instance):
-        if (type(p) is not list or len(p) != 2
-                or type(p[0]) not in _NUMERIC or type(p[1]) not in _NUMERIC):
-            yield from validator.descend(p, items, path=i)
+class Draft202012Validator:
+    """The schemas' validator: iter_errors yields every fault, validate raises
+    the first."""
 
+    def __init__(self, schema: dict):
+        self.schema = schema
 
-@functools.cache
-def _validator_class():
-    import jsonschema
+    def iter_errors(self, doc):
+        return _faults(self.schema, doc, ())
 
-    return jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _items})
-
-
-def Draft202012Validator(schema: dict):
-    """jsonschema's Draft 2020-12 validator with the typed ``items`` pass,
-    built on the first call: a command that validates no document never
-    imports jsonschema."""
-    return _validator_class()(schema)
+    def validate(self, doc) -> None:
+        for err in self.iter_errors(doc):
+            raise err
 
 
 def _validate(schema: dict, doc) -> None:
-    """Refuse doc, with jsonschema's message and path, unless it meets schema."""
-    import jsonschema
-
+    """Refuse doc, with its first fault's message and path, unless it meets schema."""
     try:
         Draft202012Validator(schema).validate(doc)
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(exc.message, exc.absolute_path) from exc
-    except RecursionError:  # jsonschema's message reprs the deepest nesting
+    except RecursionError:  # a message reprs the deepest nesting
         raise ValidationError("document nested too deeply") from None
 
 

@@ -104,6 +104,8 @@ class FilterBank:
     name: str = "custom"
 
     def __post_init__(self):
+        if not self.highs:
+            raise ValueError("a bank needs at least one high-pass mask")
         if len(self.highs) != len(self.scaling_highs):
             raise ValueError("each high-pass mask needs a scaling symbol")
         if self.scaling_low.support[1] > 0.5:

@@ -523,10 +523,10 @@ def tree_from_dict(doc: dict, sys: FrameletSystem) -> FrameletTree:
             raise ValueError(f"coefficient tree has a duplicate entry {_position(*key)}")
         seq = slots[key] = sequence_from_dict(entry, sys)
         # the cutoff reconstruct keeps: upsample's for the low-pass entry,
-        # convolve's for a high-pass one
+        # convolve's for a high-pass one; the schema counts n = 1.0 an integer
         n = key[2]
         reads = max_degree_within(
-            2.0**seq.level * sys.bank.highs[n - 1].support[1] if n else 2.0 ** (seq.level - 1)
+            2.0**seq.level * sys.bank.highs[int(n) - 1].support[1] if n else 2.0 ** (seq.level - 1)
         )
         if seq.spectral.cutoff > reads:
             raise ValueError(

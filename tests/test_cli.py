@@ -474,6 +474,38 @@ def test_transform_reconstruct_refuses_a_tree_above_its_level(tmp_path, capsys, 
     assert err == "error: tree top level 3 exceeds system level 2\n"
 
 
+def test_transform_reconstruct_reads_n_spelled_as_a_float(tmp_path, rng):
+    # Draft 2020-12 counts 1.0 an integer, so the schema admits "n": 1.0
+    doc, argv = _input_document(tmp_path, rng, "tree")
+    spelled = json.loads(json.dumps(doc))
+    for entry in spelled["levels"]:
+        if "n" in entry:
+            entry["n"] = float(entry["n"])
+    written = []
+    for name, tree in (("int", doc), ("float", spelled)):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}_out.json"
+        path.write_text(json.dumps(tree))
+        assert cli.main([*argv, str(path), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert '"n": 1.0' in (tmp_path / "float.json").read_text()
+    assert written[0] == written[1]
+
+
+def test_decompose_refuses_a_bank_without_a_high_pass(tmp_path, capsys):
+    # its one mask partitions unity, but its tree, with r = 0, could not be read back
+    flat = {"pieces": [{"lo": 0.0, "hi": 0.5, "kind": "const", "value": 1.0}]}
+    bank = {"name": "no-highs", "low": flat, "highs": [], "scaling_low": flat, "scaling_highs": []}
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(bank))
+    f_path = tmp_path / "f.json"
+    _write_spectral(f_path, 0)
+    out = tmp_path / "tree.json"
+    argv = ["transform", "--decompose", "-j", "2", "--input", str(f_path), "--bank", str(bank_path)]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a bank needs at least one high-pass mask\n"
+    assert not out.exists()
+
+
 def test_transform_bit_repro_is_deterministic(tmp_path, rng):
     f_path = tmp_path / "f.json"
     _write_spectral(f_path, degree_cutoff(2), rng)
@@ -1104,9 +1136,20 @@ def test_cli_runs_without_scipy(tmp_path):
         ["diagnostics", "--rules", "reference", "-j", "3"],
         ["sample", "--kind", "masks", "--grid", "16"],
         ["sample", "--kind", "high1", "-j", "2", "--grid", "8"],
+        ["transform", "--roundtrip", "-j", "2", "--input", "{spectrum}"],
+        ["transform", "--reconstruct", "-j", "2", "--input", "{tree}"],
+        ["sample", "--kind", "masks", "--grid", "16", "--bank", "{bank}"],
     ],
 )
-def test_cli_imports_jsonschema_only_to_validate_a_document(tmp_path, argv):
+def test_cli_runs_without_jsonschema(tmp_path, argv):
+    """jsonschema is only the tests' oracle: every command runs without it,
+    those that validate a document too."""
+    inputs = {name: tmp_path / f"{name}.json" for name in ("spectrum", "tree", "bank")}
+    _write_spectral(inputs["spectrum"], 1)
+    decompose = ["transform", "--decompose", "-j", "2", "--input", str(inputs["spectrum"])]
+    assert cli.main([*decompose, "--out", str(inputs["tree"])]) == 0
+    inputs["bank"].write_text(json.dumps(bank_to_dict(default_bank())))
+    argv = [arg.format(**inputs) for arg in argv]
     assert "wrote" in _run_without("jsonschema", [*argv, "--out", str(tmp_path / "out")])
 
 
@@ -1183,7 +1226,7 @@ def test_console_entry_point(tmp_path):
     assert "nodes: 2" in result.stdout
 
 
-# -- the typed `items` pass agrees with plain jsonschema ---------------------
+# -- the schema walker agrees with jsonschema --------------------------------
 
 _SCALAR = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70),
@@ -1195,53 +1238,97 @@ _SCALAR = st.one_of(
 _ELEMENT = st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3))
 _CANDIDATE = st.one_of(st.lists(_ELEMENT, max_size=3), _SCALAR)
 _ARRAY = st.one_of(st.lists(_CANDIDATE, max_size=4), _SCALAR)
+_NUMBER = st.one_of(st.floats(-2, 2), st.integers(-2, 2))
 
 
-def _entry(v, coeffs):
-    return {"channel": "low", "j": 0, "rule_ref": "kronecker_lattice/0",
-            "v": v, "spectral": {"cutoff": 0, "coeffs": coeffs}}
+def _mostly(valid, other):
+    """valid, but one time in ten other."""
+    return st.integers(0, 9).flatmap(lambda roll: other if roll == 0 else valid)
 
 
-# an array of pairs, which takes the typed pass, beside an array of numbers,
-# which jsonschema's own items checks
-_ARRAYS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "pair": {"anyOf": [cli._PAIR, {"type": "null"}]},
-        "pairs": {"type": "array", "items": cli._PAIR},
-        "numbers": {"type": "array", "items": {"type": "number"}},
-    },
-}
+_PAIRS = _mostly(
+    st.lists(st.lists(_NUMBER, min_size=2, max_size=2), max_size=3),
+    st.one_of(st.lists(st.lists(_NUMBER | _SCALAR, min_size=1, max_size=3), min_size=1,
+                       max_size=3), _ARRAY),
+)
+_COUNT = _mostly(st.sampled_from([1, 2, 1.0]), st.sampled_from([-1, 0, 0.0, 1.5, True]))
 
 
 @st.composite
-def _documents(draw):
-    """A schema and a document whose number arrays mix valid and invalid items."""
-    kind = draw(st.sampled_from(["spectral", "tree", "arrays"]))
-    if kind == "spectral":
-        return cli.SPECTRAL_SCHEMA, {"cutoff": 1, "coeffs": draw(_ARRAY)}
-    if kind == "tree":
-        levels = [_entry(draw(_ARRAY), draw(_ARRAY)) for _ in range(2)]
-        return cli.TREE_SCHEMA, {"J": 1, "r": 2, "levels": levels}
-    return _ARRAYS_SCHEMA, {
-        "pair": draw(_CANDIDATE), "pairs": draw(_ARRAY),
-        "numbers": draw(st.one_of(st.lists(_ELEMENT, max_size=4), _SCALAR)),
-    }
+def _object(draw, fields: dict):
+    """Mostly an object of these fields, a few of them missing or stray
+    scalars, perhaps with unknown keys; otherwise a stray scalar."""
+    if draw(st.integers(0, 29)) == 0:
+        return draw(_SCALAR)
+    doc = {}
+    for name, value in fields.items():
+        roll = draw(st.integers(0, 29))
+        if roll:
+            doc[name] = draw(_SCALAR if roll == 1 else value)
+    if draw(st.integers(0, 9)) == 0:
+        doc.update(draw(st.dictionaries(st.sampled_from(["extra", "Z"]), _SCALAR, min_size=1)))
+    return doc
 
 
-def _errors(validator_cls, schema, doc):
-    return [
-        (list(err.absolute_path), err.message)
-        for err in validator_cls(schema).iter_errors(doc)
-    ]
+_SPECTRAL = _object({"cutoff": _COUNT, "coeffs": _PAIRS})
+_SEQUENCE = _object({
+    "channel": _mostly(st.sampled_from(["low", "high"]), st.just("mid")), "j": _COUNT,
+    "n": _COUNT, "rule_ref": st.text(max_size=2), "v": _PAIRS, "spectral": _SPECTRAL,
+})
+_PIECE = _object({
+    "lo": _NUMBER, "hi": _NUMBER,
+    "kind": _mostly(st.sampled_from(["const", "cos_nu"]), st.just("tan_nu")),
+    "value": _NUMBER, "scale": _NUMBER, "offset": _NUMBER,
+})
+_SYMBOL = _object({"pieces": _mostly(st.lists(_PIECE, min_size=1, max_size=2), st.just([]))})
+# a schema and a document that mostly meets it
+_DOCUMENTS = st.one_of(
+    st.tuples(st.just(cli.SPECTRAL_SCHEMA), _SPECTRAL),
+    st.tuples(st.just(cli.SEQUENCE_SCHEMA), _SEQUENCE),
+    st.tuples(st.just(cli.TREE_SCHEMA), _object({
+        "J": _COUNT, "r": _COUNT,
+        "levels": _mostly(st.lists(_SEQUENCE, min_size=2, max_size=3), st.lists(_SEQUENCE)),
+    })),
+    st.tuples(st.just(cli.BANK_SCHEMA), _object({
+        "name": st.text(max_size=2), "low": _SYMBOL, "highs": st.lists(_SYMBOL, max_size=2),
+        "scaling_low": _SYMBOL, "scaling_highs": st.lists(_SYMBOL, max_size=2),
+    })),
+)
+
+
+def _errors(errors):
+    return [(list(err.absolute_path), err.message) for err in errors]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_documents())
+@given(_DOCUMENTS)
 def test_fast_validator_matches_jsonschema(case):
+    """Every fault, in order, with jsonschema's path and message; and the
+    refusal is the one jsonschema's validate raises, the first."""
     schema, doc = case
-    want = _errors(jsonschema.Draft202012Validator, schema, doc)
-    assert _errors(cli.Draft202012Validator, schema, doc) == want
+    want = list(jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    assert _errors(cli.Draft202012Validator(schema).iter_errors(doc)) == _errors(want)
+    if not want:
+        cli.Draft202012Validator(schema).validate(doc)
+    else:
+        with pytest.raises(cli.ValidationError) as refused:
+            cli.Draft202012Validator(schema).validate(doc)
+        assert _errors([refused.value]) == _errors(want[:1])
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string", "pattern": "^a"},
+        {"type": ["string", "null"]},
+        {"properties": {"x": {"anyOf": [{"type": "null"}]}}},
+        {"additionalProperties": {"type": "number"}},
+    ],
+    ids=["pattern", "type-list", "nested-anyOf", "additionalProperties-schema"],
+)
+def test_fast_validator_raises_on_a_keyword_it_does_not_know(schema):
+    with pytest.raises(NotImplementedError, match="schema keyword"):
+        list(cli.Draft202012Validator(schema).iter_errors({"x": 1}))
 
 
 def test_fast_validator_reports_first_bad_pair(tmp_path, capsys):

@@ -194,6 +194,8 @@ def test_bank_support_guards(bank):
             scaling_low=bank.scaling_low,
             scaling_highs=(bank.scaling_highs[0],),
         )
+    with pytest.raises(ValueError, match="at least one high-pass mask"):
+        FilterBank(low=bank.low, highs=(), scaling_low=bank.scaling_low, scaling_highs=())
 
 
 def test_empty_grid_rejected(bank):
